@@ -47,7 +47,7 @@ runSplitCase(std::uint64_t header_bytes, double scale,
     cfg.seed = seed;
     scenarios::AggTestPmdWorld world(platform, cfg);
     world.attach(engine);
-    scenarios::applyStaticLayout(platform.pqos(), world.registry());
+    core::applyStaticLayout(platform.pqos(), world.registry());
     for (unsigned n = 0; n < world.nicCount(); ++n)
         world.nic(n).setDdioHeaderSplit(header_bytes);
 

@@ -43,10 +43,14 @@ main(int argc, char **argv)
     for (const auto &scenario : bench::bakeoffScenarios()) {
         if (!only.empty() && scenario != only)
             continue;
-        for (const auto policy : bench::allPolicies()) {
-            const auto r = bench::bakeoffRunCase(policy, scenario,
-                                                 plan, scale, seed);
-            table.addRow({scenario, bench::figureLabel(policy),
+        for (const auto kind : core::allPolicyKinds()) {
+            // The footnote-3 ablation is a Fig 10 variant, not a
+            // bakeoff contender.
+            if (kind == core::PolicyKind::IatNoDdio)
+                continue;
+            const auto r = bench::bakeoffRunCase(kind, scenario, plan,
+                                                 scale, seed);
+            table.addRow({scenario, bench::figureLabel(kind),
                           TablePrinter::num(r.tput_mps, 3),
                           TablePrinter::num(r.p99_us, 2),
                           TablePrinter::num(r.jain, 4),

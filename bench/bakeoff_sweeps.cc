@@ -14,10 +14,10 @@
  *    SoftwareStack priority) keep running -- they are the machine,
  *    not a contender -- and solo passes are always fault-free: the
  *    reference is the ideal machine.
- *  - one policy pass with all workloads live, the policy attached
- *    through the same PolicyRuntime the figure benches use, and the
- *    fault plan (if any) armed after attach per the injector's
- *    lifecycle contract.
+ *  - one policy pass with all workloads live, the policy built by
+ *    core::makePolicy() and ticked by fault::attachPolicy() like in
+ *    every figure bench, and the fault plan (if any) armed after
+ *    attach per the injector's lifecycle contract.
  *
  * Fairness comes out of computeFairness() (bench/common.hh): per
  * tenant slowdown = IPC_solo / IPC_policy, Jain's index over
@@ -40,7 +40,6 @@
 #include "bench/sweeps.hh"
 #include "fault/injector.hh"
 #include "scenarios/agg_testpmd.hh"
-#include "scenarios/common.hh"
 #include "scenarios/corun.hh"
 #include "scenarios/slicing_pmd_xmem.hh"
 #include "util/units.hh"
@@ -329,7 +328,7 @@ soloIpc(const std::string &scenario, std::size_t tenant,
     world->attach(engine);
 
     auto &registry = world->registry();
-    scenarios::applyStaticLayout(platform.pqos(), registry);
+    core::applyStaticLayout(platform.pqos(), registry);
     // The solo tenant gets the whole cache (CLOS t+1 by the repo's
     // convention); DDIO stays at the hardware default.
     auto &pqos = platform.pqos();
@@ -358,7 +357,7 @@ bakeoffScenarios()
 }
 
 BakeoffResult
-bakeoffRunCase(Policy policy, const std::string &scenario,
+bakeoffRunCase(core::PolicyKind kind, const std::string &scenario,
                const fault::FaultPlan &plan, double scale,
                std::uint64_t seed)
 {
@@ -387,9 +386,11 @@ bakeoffRunCase(Policy policy, const std::string &scenario,
     if (effective.any())
         injector = std::make_unique<fault::FaultInjector>(effective);
 
-    PolicyRuntime runtime;
-    runtime.attach(policy, platform, registry, engine, params,
-                   world->model(), nullptr, injector.get());
+    const auto policy = core::makePolicy(kind, platform.pqos(),
+                                         registry, params,
+                                         world->model());
+    fault::attachPolicy(engine, *policy, params.interval_seconds,
+                        injector.get());
     if (injector) {
         world->wireNics(*injector);
         injector->setRegistry(&registry);
@@ -438,18 +439,14 @@ exp::TrialResult
 bakeoffTrial(const exp::TrialContext &ctx)
 {
     const std::string scenario = ctx.requireString("scenario");
-    const std::string policy_name = ctx.requireString("policy");
-    Policy policy;
-    if (!parsePolicy(policy_name, policy))
-        throw std::runtime_error("unknown policy '" + policy_name +
-                                 "'");
+    const auto kind = policyParam(ctx);
     const bool faults = ctx.getInt("faults", 0) != 0;
     const auto plan = faults
                           ? fault::FaultPlan::fromPairs(ctx.params)
                           : fault::FaultPlan{};
 
     const auto r =
-        bakeoffRunCase(policy, scenario, plan, ctx.scale, ctx.seed);
+        bakeoffRunCase(kind, scenario, plan, ctx.scale, ctx.seed);
 
     exp::TrialResult result;
     result.add("tput_mps", r.tput_mps);

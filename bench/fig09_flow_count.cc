@@ -36,18 +36,17 @@ main(int argc, char **argv)
     table.setHeader({"flows", "policy", "ovs_llc_miss_M/s",
                      "ovs_ipc", "ovs_ways", "tx_mpps"});
 
-    for (const auto policy :
-         {bench::Policy::Baseline, bench::Policy::Iat}) {
-        const auto rows = bench::fig09RunRamp(policy, scale, seed);
+    for (const auto kind :
+         {core::PolicyKind::Static, core::PolicyKind::Iat}) {
+        const auto rows = bench::fig09RunRamp(kind, scale, seed);
         for (const auto &row : rows) {
-            table.addRow({std::to_string(row.flows),
-                          toString(policy),
+            table.addRow({std::to_string(row.flows), toString(kind),
                           TablePrinter::num(row.ovs_llc_miss_mps, 2),
                           TablePrinter::num(row.ovs_ipc, 3),
                           std::to_string(row.ovs_ways),
                           TablePrinter::num(row.tx_mpps, 2)});
         }
-        std::printf("  %s ramp done\n", toString(policy));
+        std::printf("  %s ramp done\n", toString(kind));
         std::fflush(stdout);
     }
 

@@ -10,9 +10,9 @@
 #include <benchmark/benchmark.h>
 
 #include "core/daemon.hh"
+#include "core/policy.hh"
 #include "net/pipeline.hh"
 #include "scenarios/agg_testpmd.hh"
-#include "scenarios/common.hh"
 #include "sim/engine.hh"
 #include "util/rng.hh"
 #include "wl/xmem.hh"
@@ -98,7 +98,7 @@ BM_AggWorldQuantum(benchmark::State &state)
     cfg.frame_bytes = static_cast<std::uint32_t>(state.range(0));
     scenarios::AggTestPmdWorld world(platform, cfg);
     world.attach(engine);
-    scenarios::applyStaticLayout(platform.pqos(), world.registry());
+    core::applyStaticLayout(platform.pqos(), world.registry());
     for (auto _ : state)
         engine.run(pc.quantum_seconds);
     state.counters["pkts/s_sim"] = benchmark::Counter(

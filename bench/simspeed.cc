@@ -111,12 +111,12 @@ struct WorldHandle
     std::unique_ptr<sim::Engine> engine;
     std::unique_ptr<scenarios::AggTestPmdWorld> world;
     core::IatParams params;
-    bench::PolicyRuntime runtime;
+    std::unique_ptr<core::Policy> policy;
 };
 
 std::unique_ptr<WorldHandle>
 buildWorld(const scenarios::AggTestPmdConfig &cfg,
-           const std::string &policy_name, unsigned llc_approx)
+           core::PolicyKind kind, unsigned llc_approx)
 {
     auto h = std::make_unique<WorldHandle>();
     sim::PlatformConfig pc;
@@ -127,10 +127,11 @@ buildWorld(const scenarios::AggTestPmdConfig &cfg,
     h->world = std::make_unique<scenarios::AggTestPmdWorld>(
         *h->platform, cfg);
     h->world->attach(*h->engine);
-    h->runtime.attach(policy_name == "iat" ? bench::Policy::Iat
-                                           : bench::Policy::Baseline,
-                      *h->platform, h->world->registry(), *h->engine,
-                      h->params, core::TenantModel::Aggregation);
+    h->policy = core::makePolicy(kind, h->platform->pqos(),
+                                 h->world->registry(), h->params,
+                                 core::TenantModel::Aggregation);
+    fault::attachPolicy(*h->engine, *h->policy,
+                        h->params.interval_seconds);
     return h;
 }
 
@@ -237,6 +238,11 @@ main(int argc, char **argv)
         args.getString("json", "BENCH_simspeed.json");
     const std::string policy_name =
         args.getString("policy", "baseline");
+    core::PolicyKind kind;
+    if (!core::parsePolicyKind(policy_name, kind)) {
+        fatal("unknown policy '%s' (%s)", policy_name.c_str(),
+              core::policyKindLabels().c_str());
+    }
 
     scenarios::AggTestPmdConfig cfg;
     cfg.num_containers = static_cast<unsigned>(
@@ -247,7 +253,7 @@ main(int argc, char **argv)
         static_cast<std::uint64_t>(args.getInt("flows", 1));
     cfg.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
 
-    auto h = buildWorld(cfg, policy_name, llc_approx);
+    auto h = buildWorld(cfg, kind, llc_approx);
     sim::Platform &platform = *h->platform;
     sim::Engine &engine = *h->engine;
     scenarios::AggTestPmdWorld &world = *h->world;
@@ -329,7 +335,7 @@ main(int argc, char **argv)
     double rx_rel_err = 0.0, tx_rel_err = 0.0;
     std::uint64_t exact_rx = 0, exact_tx = 0;
     if (compare_exact) {
-        auto ex = buildWorld(cfg, policy_name, 1);
+        auto ex = buildWorld(cfg, kind, 1);
         if (warmup_s > 0.0)
             ex->engine->run(warmup_s);
         const std::uint64_t ex_pkts0 =

@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "core/daemon.hh"
-#include "scenarios/common.hh"
+#include "core/policy.hh"
 #include "scenarios/slicing_pmd_xmem.hh"
 #include "util/cli.hh"
 #include "util/units.hh"
@@ -50,8 +50,7 @@ runOnce(bool with_iat, double scale)
                            0.0);
     } else {
         // Static CAT, the paper's baseline.
-        scenarios::applyStaticLayout(platform.pqos(),
-                                     world.registry());
+        core::applyStaticLayout(platform.pqos(), world.registry());
     }
 
     engine.at(0.05 * scale,

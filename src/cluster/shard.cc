@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "fault/injector.hh"
 #include "util/logging.hh"
 
 namespace iat::cluster {
@@ -227,9 +228,9 @@ ShardHost::ShardHost(unsigned id, unsigned num_shards,
 
     core::IatParams params;
     params.interval_seconds = cfg.daemon_interval;
-    daemon_ = std::make_unique<core::IatDaemon>(
-        platform_.pqos(), world_->registry(), params,
-        core::TenantModel::Aggregation);
+    policy_ = core::makePolicy(core::PolicyKind::Iat, platform_.pqos(),
+                               world_->registry(), params,
+                               core::TenantModel::Aggregation);
 
     world_->attach(engine_);
     if (num_shards >= 2 && cfg.remote_rate_pps > 0.0) {
@@ -244,9 +245,7 @@ ShardHost::ShardHost(unsigned id, unsigned num_shards,
     engine_.add(&sink_);
     engine_.add(&batch_);
 
-    engine_.addPeriodic(
-        cfg.daemon_interval,
-        [this](double now) { daemon_->tick(now); }, 0.0);
+    fault::attachPolicy(engine_, *policy_, cfg.daemon_interval);
 
     telemetry_ =
         std::make_unique<sim::PlatformTelemetry>(platform_, metrics_);
@@ -426,13 +425,14 @@ ShardHost::digest() const
                                            host_lat_.count()))
        << " host.lat.p99=" << fmtExact(host_lat_.percentile(0.99));
 
-    os << " daemon.ticks=" << daemon_->ticks()
-       << " daemon.stable=" << daemon_->stableTicks()
-       << " daemon.shuffles=" << daemon_->shuffles()
-       << " daemon.state=" << static_cast<int>(daemon_->state())
-       << " ddio.ways=" << daemon_->ddioWays();
+    const core::IatDaemon &d = *policy_->daemon();
+    os << " daemon.ticks=" << d.ticks()
+       << " daemon.stable=" << d.stableTicks()
+       << " daemon.shuffles=" << d.shuffles()
+       << " daemon.state=" << static_cast<int>(d.state())
+       << " ddio.ways=" << d.ddioWays();
 
-    const auto &alloc = daemon_->allocator();
+    const auto &alloc = d.allocator();
     os << " masks=";
     for (std::size_t t = 0; t < alloc.tenantCount(); ++t) {
         if (t)

@@ -145,7 +145,7 @@ class ShardHost
     sim::Platform &platform() { return platform_; }
     sim::Engine &engine() { return engine_; }
     scenarios::AggTestPmdWorld &world() { return *world_; }
-    core::IatDaemon &daemon() { return *daemon_; }
+    core::IatDaemon &daemon() { return *policy_->daemon(); }
     net::NicQueue &fabricNic() { return *fabric_nic_; }
     obs::MetricsRegistry &metrics() { return metrics_; }
     const ShardConfig &config() const { return cfg_; }
@@ -234,7 +234,7 @@ class ShardHost
     sim::Engine engine_;
     std::unique_ptr<scenarios::AggTestPmdWorld> world_;
     std::unique_ptr<net::NicQueue> fabric_nic_;
-    std::unique_ptr<core::IatDaemon> daemon_;
+    std::unique_ptr<core::Policy> policy_; ///< always the IAT daemon
 
     std::unique_ptr<FabricSource> source_; ///< null without egress
     FabricSink sink_;

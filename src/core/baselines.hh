@@ -2,9 +2,9 @@
  * @file
  * The comparison policies of the evaluation (SS VI-B).
  *
- *  - StaticPolicy: the paper's "baseline" -- whatever CAT masks the
- *    experiment set up initially, hardware-default DDIO, no dynamics.
- *    (A do-nothing type, present so benches can name it.)
+ *  - The paper's "baseline" (static CAT, hardware-default DDIO, no
+ *    dynamics) is PolicyKind::Static: makePolicy() programs
+ *    applyStaticLayout() and re-applies it on tenant churn.
  *  - CoreOnlyPolicy: "we only adjust the LLC allocation without I/O
  *    awareness" -- a dCAT-style dynamic core allocator that happily
  *    grows tenants into ways DDIO is using, because it cannot see
@@ -26,26 +26,21 @@
 #include "core/allocator.hh"
 #include "core/monitor.hh"
 #include "core/params.hh"
+#include "core/policy.hh"
 #include "core/tenant.hh"
 #include "rdt/pqos.hh"
 
 namespace iat::core {
 
-/** The no-op baseline. */
-class StaticPolicy
-{
-  public:
-    void tick(double) {}
-};
-
 /** I/O-unaware dynamic way allocation; see file comment. */
-class CoreOnlyPolicy
+class CoreOnlyPolicy final : public Policy
 {
   public:
     CoreOnlyPolicy(rdt::PqosSystem &pqos, TenantRegistry &registry,
                    const IatParams &params);
 
-    void tick(double now);
+    void tick(double now) override;
+    PolicyKind kind() const override { return PolicyKind::CoreOnly; }
 
     const WayAllocator &allocator() const { return alloc_; }
     Monitor &monitor() { return monitor_; }
@@ -64,7 +59,7 @@ class CoreOnlyPolicy
 };
 
 /** Core-only with DDIO's ways excluded from every core mask. */
-class IoIsolationPolicy
+class IoIsolationPolicy final : public Policy
 {
   public:
     /**
@@ -75,7 +70,8 @@ class IoIsolationPolicy
                       const IatParams &params,
                       std::vector<std::size_t> order = {});
 
-    void tick(double now);
+    void tick(double now) override;
+    PolicyKind kind() const override { return PolicyKind::IoIso; }
 
     /** The mask programmed for tenant @p t (may overlap others'). */
     cache::WayMask tenantMask(std::size_t t) const;

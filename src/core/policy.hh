@@ -3,9 +3,11 @@
  * First-class policy abstraction for the bakeoff (ROADMAP "Policy
  * bakeoff" item): every LLC-management strategy the repo ships --
  * the paper's IAT daemon, the SS VI baselines, and the related-work
- * controllers IOCA and LFOC -- behind one `Policy` interface, so
- * iatctl, the benches, the `.exp` campaigns and the fuzzers can
- * instantiate any of them from a single `policy=` string.
+ * controllers IOCA and LFOC -- is a direct `Policy` subclass, and
+ * iatctl, iatsvc, the benches, the `.exp` campaigns, the cluster
+ * shards and the fuzzers all build them through makePolicy() from a
+ * single `policy=` string, so a label means the same controller on
+ * every surface.
  *
  * Each policy also publishes a PolicyContract: the structural
  * invariants it *claims* to uphold. The contracts differ by design --
@@ -23,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "core/daemon.hh"
 #include "core/params.hh"
 #include "core/tenant.hh"
 #include "rdt/pqos.hh"
@@ -33,6 +34,8 @@ class Telemetry;
 } // namespace iat::obs
 
 namespace iat::core {
+
+class IatDaemon;
 
 /** Every registered policy, in bakeoff table order. */
 enum class PolicyKind
@@ -54,6 +57,10 @@ bool parsePolicyKind(const std::string &name, PolicyKind &out);
 
 /** All kinds, in declaration order (the property suite iterates). */
 const std::vector<PolicyKind> &allPolicyKinds();
+
+/** Every kind's machine label joined by '|', in declaration order,
+ *  for help and unknown-policy error text. */
+std::string policyKindLabels();
 
 /**
  * The structural invariants a policy guarantees over the *hardware*
@@ -105,19 +112,21 @@ class Policy
     const char *name() const { return toString(kind()); }
     PolicyContract contract() const { return policyContract(kind()); }
 
-    /** The wrapped IAT daemon, when this policy is one (for the
-     *  hardening counters and allocator-intent checks). */
+    /** This policy as the IAT daemon, when it is one (for the
+     *  hardening counters, ablation toggles and allocator-intent
+     *  checks); nullptr for every other kind. */
     virtual const IatDaemon *daemon() const { return nullptr; }
     virtual IatDaemon *daemon() { return nullptr; }
 };
 
 /**
- * Instantiate @p kind over @p registry. The returned policy owns its
- * monitor/allocator state; hook its tick() into an engine periodic at
- * @p params.interval_seconds. @p telemetry and @p hardening only
- * affect the IAT kinds (the baselines and related-work controllers
- * predate both). Static programs its layout immediately, like the
- * benches' Baseline path, and re-applies it on registry churn.
+ * The only way to build a policy: instantiate @p kind over
+ * @p registry. The returned policy owns its monitor/allocator state;
+ * tick it with fault::attachPolicy() at @p params.interval_seconds.
+ * @p telemetry and @p hardening only affect the IAT kinds (the
+ * baselines and related-work controllers predate both). Static
+ * programs its layout (applyStaticLayout()) immediately and
+ * re-applies it on registry churn.
  */
 std::unique_ptr<Policy> makePolicy(PolicyKind kind,
                                    rdt::PqosSystem &pqos,
@@ -127,6 +136,17 @@ std::unique_ptr<Policy> makePolicy(PolicyKind kind,
                                        TenantModel::Slicing,
                                    obs::Telemetry *telemetry = nullptr,
                                    bool hardening = true);
+
+/**
+ * Program the paper's "basic static CAT" baseline: tenants get their
+ * initial way counts, bottom-packed PC/stack-first (the same layout
+ * the IAT daemon starts from), cores associated with per-tenant
+ * CLOS, monitoring RMIDs assigned. DDIO stays at the hardware value.
+ *
+ * Returns the per-tenant masks that were programmed.
+ */
+std::vector<cache::WayMask> applyStaticLayout(
+    rdt::PqosSystem &pqos, const TenantRegistry &registry);
 
 } // namespace iat::core
 

@@ -11,18 +11,18 @@
  *  - engine one-shot/periodic hooks: the armed window, NIC link
  *    flaps, Rx ring stalls and tenant churn, all scheduled in
  *    simulated time so they replay identically;
- *  - the daemon driver's poll wrapper (dropPoll()): dropped polls,
- *    which the daemon's watchdog then observes as late ticks.
+ *  - the policy driver's poll wrapper (dropPoll(), called by
+ *    attachPolicy()): dropped polls, which the daemon's watchdog
+ *    then observes as late ticks.
  *
  * All randomness comes from one seeded Rng, so a (plan, seed) pair
  * determines every event: chaos campaigns replay byte-identically.
  * Every injected event is counted, and mirrored into the telemetry
  * metrics/tracer when a session is attached.
  *
- * Lifecycle contract: arm() must be called after the policy runtime
- * is attached to the engine, so the daemon's setup tick at t=0 runs
- * before any fault can fire (real deployments, too, boot before the
- * weather starts).
+ * Lifecycle contract: arm() must be called after attachPolicy(), so
+ * the policy's setup tick at t=0 runs before any fault can fire
+ * (real deployments, too, boot before the weather starts).
  */
 
 #ifndef IATSIM_FAULT_INJECTOR_HH
@@ -38,6 +38,10 @@
 #include "rdt/msr.hh"
 #include "sim/engine.hh"
 #include "util/rng.hh"
+
+namespace iat::core {
+class Policy;
+} // namespace iat::core
 
 namespace iat::obs {
 class Counter;
@@ -147,6 +151,18 @@ class FaultInjector : public rdt::MsrFaultHook
     obs::Counter *m_ring_stalls_ = nullptr;
     obs::Counter *m_churn_events_ = nullptr;
 };
+
+/**
+ * The one way to tick a policy: call @p policy's tick() every
+ * @p interval simulated seconds, first at t=0 (the setup tick).
+ * With a non-null @p gate each tick first asks gate->dropPoll(),
+ * modelling a daemon that oversleeps or gets preempted; a dropped
+ * poll skips the tick. Arm the gate after this call so the setup
+ * tick runs before any fault hook installs. @p policy and @p gate
+ * must outlive the engine's run.
+ */
+void attachPolicy(sim::Engine &engine, core::Policy &policy,
+                  double interval, FaultInjector *gate = nullptr);
 
 } // namespace iat::fault
 

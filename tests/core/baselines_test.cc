@@ -58,13 +58,6 @@ class BaselinesTest : public testing::Test
     TenantRegistry registry;
 };
 
-TEST_F(BaselinesTest, StaticPolicyDoesNothing)
-{
-    StaticPolicy policy;
-    policy.tick(0.0); // compiles, runs, touches nothing
-    EXPECT_EQ(platform.llc().ddioMask().count(), 2u);
-}
-
 TEST_F(BaselinesTest, CoreOnlySetupProgramsInitialMasks)
 {
     addTenant("a", 0, 3, TenantPriority::PerformanceCritical);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the policy registry: label round-trips, the
- * contract table, and the makePolicy factory adapters.
+ * contract table, and the makePolicy factory.
  */
 
 #include "core/policy.hh"
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/daemon.hh"
 #include "sim/platform.hh"
 
 namespace iat::core {
@@ -160,9 +161,26 @@ TEST_F(PolicyTest, FactoryBuildsEveryKind)
                                kind == PolicyKind::IatNoDdio;
         EXPECT_EQ(policy->daemon() != nullptr, is_daemon)
             << toString(kind)
-            << ": daemon() must expose the wrapped IatDaemon for "
-               "the IAT kinds only";
+            << ": daemon() must expose the IatDaemon for the IAT "
+               "kinds only";
     }
+}
+
+TEST_F(PolicyTest, DaemonKindFollowsDdioTuning)
+{
+    addTenant("io", 0, 3, TenantPriority::PerformanceCritical, true);
+    IatDaemon daemon(platform.pqos(), registry, IatParams{});
+    EXPECT_EQ(daemon.kind(), PolicyKind::Iat);
+    EXPECT_EQ(daemon.daemon(), &daemon);
+    daemon.setDdioTuningEnabled(false);
+    EXPECT_EQ(daemon.kind(), PolicyKind::IatNoDdio);
+    EXPECT_STREQ(daemon.name(), "IAT-noddio");
+}
+
+TEST(PolicyKindTest, LabelListNamesEveryKind)
+{
+    EXPECT_EQ(policyKindLabels(),
+              "baseline|core-only|io-iso|IAT|IAT-noddio|ioca|lfoc");
 }
 
 TEST_F(PolicyTest, StaticAdapterProgramsLayoutAtConstruction)
@@ -171,7 +189,7 @@ TEST_F(PolicyTest, StaticAdapterProgramsLayoutAtConstruction)
     addTenant("b", 1, 2, TenantPriority::BestEffort);
     auto policy = makePolicy(PolicyKind::Static, platform.pqos(),
                              registry, IatParams{});
-    // No tick yet: the benches' Baseline path programs immediately.
+    // No tick yet: the layout is programmed at construction.
     const auto a = platform.llc().closMask(1);
     const auto b = platform.llc().closMask(2);
     EXPECT_EQ(a.count(), 3u);

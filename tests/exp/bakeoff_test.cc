@@ -75,9 +75,9 @@ TEST(Bakeoff, ShippedSpecsCoverEveryPolicy)
 
 TEST(Bakeoff, RunCaseIsDeterministicFaultFree)
 {
-    const auto a = bakeoffRunCase(Policy::Lfoc, "agg",
+    const auto a = bakeoffRunCase(core::PolicyKind::Lfoc, "agg",
                                   fault::FaultPlan{}, kScale, 11);
-    const auto b = bakeoffRunCase(Policy::Lfoc, "agg",
+    const auto b = bakeoffRunCase(core::PolicyKind::Lfoc, "agg",
                                   fault::FaultPlan{}, kScale, 11);
     EXPECT_EQ(a.tput_mps, b.tput_mps);
     EXPECT_EQ(a.p99_us, b.p99_us);
@@ -100,9 +100,9 @@ TEST(Bakeoff, RunCaseIsDeterministicUnderFaults)
     plan.write_reject = 0.15;
     plan.poll_drop = 0.1;
     const auto a =
-        bakeoffRunCase(Policy::Ioca, "agg", plan, kScale, 11);
+        bakeoffRunCase(core::PolicyKind::Ioca, "agg", plan, kScale, 11);
     const auto b =
-        bakeoffRunCase(Policy::Ioca, "agg", plan, kScale, 11);
+        bakeoffRunCase(core::PolicyKind::Ioca, "agg", plan, kScale, 11);
     EXPECT_EQ(a.tput_mps, b.tput_mps);
     EXPECT_EQ(a.p99_us, b.p99_us);
     EXPECT_EQ(a.jain, b.jain);
@@ -163,6 +163,28 @@ TEST(Bakeoff, UnknownScenarioAndPolicyFailLoudly)
     bad_policy.sweep = "bakeoff";
     bad_policy.params = {{"scenario", "agg"}, {"policy", "nope"}};
     EXPECT_THROW(fn->fn(bad_policy), std::exception);
+
+    // Every parsePolicyKind spelling resolves, including the
+    // registry's "static" alias for the baseline.
+    exp::TrialContext alias;
+    alias.sweep = "bakeoff";
+    alias.scale = kScale;
+    alias.params = {{"scenario", "agg"}, {"policy", "static"}};
+    EXPECT_EQ(policyParam(alias), core::PolicyKind::Static);
+    EXPECT_NO_THROW(fn->fn(alias));
+}
+
+TEST(Bakeoff, StaticBaselineIsGatedByPollDrop)
+{
+    // The baseline is ticked through the same gated hook as every
+    // other policy, so a faulted plan drops its polls too.
+    fault::FaultPlan plan;
+    plan.start_seconds = 0.001;
+    plan.poll_drop = 0.5;
+    plan.churn_period_seconds = 0.005;
+    const auto r = bakeoffRunCase(core::PolicyKind::Static, "slicing",
+                                  plan, kScale, 11);
+    EXPECT_GT(r.polls_dropped, 0u);
 }
 
 } // namespace

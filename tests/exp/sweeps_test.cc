@@ -76,32 +76,14 @@ TEST(Sweeps, FigSpecsShareTheCampaignSeed)
 
 TEST(Sweeps, PolicyLabels)
 {
-    // Machine labels are distinct per policy...
-    EXPECT_STREQ(toString(Policy::Iat), "IAT");
-    EXPECT_STREQ(toString(Policy::IatNoDdioTuning), "IAT-noddio");
-    // ...while the figure label folds the footnote-3 ablation back
-    // into the paper-facing name.
-    EXPECT_STREQ(figureLabel(Policy::Iat), "IAT");
-    EXPECT_STREQ(figureLabel(Policy::IatNoDdioTuning), "IAT");
-    EXPECT_STREQ(figureLabel(Policy::Baseline), "baseline");
-}
-
-TEST(Sweeps, ParsePolicyRoundTripsEveryLabel)
-{
-    for (const Policy policy :
-         {Policy::Baseline, Policy::CoreOnly, Policy::IoIso,
-          Policy::Iat, Policy::IatNoDdioTuning}) {
-        Policy parsed;
-        ASSERT_TRUE(parsePolicy(toString(policy), parsed))
-            << toString(policy);
-        EXPECT_EQ(parsed, policy) << toString(policy);
-    }
-    Policy parsed;
-    EXPECT_TRUE(parsePolicy("iat-noddio", parsed));
-    EXPECT_EQ(parsed, Policy::IatNoDdioTuning);
-    EXPECT_TRUE(parsePolicy("iat", parsed));
-    EXPECT_EQ(parsed, Policy::Iat);
-    EXPECT_FALSE(parsePolicy("bogus", parsed));
+    // The figure label folds the footnote-3 ablation back into the
+    // paper-facing name; machine labels (core::toString) stay
+    // distinct per kind.
+    EXPECT_STREQ(figureLabel(core::PolicyKind::Iat), "IAT");
+    EXPECT_STREQ(figureLabel(core::PolicyKind::IatNoDdio), "IAT");
+    EXPECT_STREQ(figureLabel(core::PolicyKind::Static), "baseline");
+    EXPECT_STREQ(figureLabel(core::PolicyKind::Ioca), "IOCA");
+    EXPECT_STREQ(figureLabel(core::PolicyKind::Lfoc), "LFOC");
 }
 
 TEST(Sweeps, L3fwdTrialIsDeterministic)

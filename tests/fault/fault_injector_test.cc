@@ -2,13 +2,18 @@
  * @file
  * Unit tests for the FaultInjector: arming windows, MSR read/write
  * perturbation discipline, poll drops, NIC schedules and tenant
- * churn -- all seeded and replayable.
+ * churn -- all seeded and replayable -- plus attachPolicy(), the one
+ * place a policy is ticked.
  */
 
 #include "fault/injector.hh"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/policy.hh"
 #include "rdt/msr.hh"
 #include "sim/engine.hh"
 #include "sim/platform.hh"
@@ -207,6 +212,95 @@ TEST(FaultInjector, ChurnNeverEmptiesTheRegistry)
     rig.runPast(0.05);
     EXPECT_EQ(registry.size(), 1u);
     EXPECT_EQ(rig.injector.churnEvents(), 0u);
+}
+
+/** Records every tick it receives. */
+class RecordingPolicy final : public core::Policy
+{
+  public:
+    void tick(double now) override { ticks.push_back(now); }
+    core::PolicyKind kind() const override
+    {
+        return core::PolicyKind::Static;
+    }
+
+    std::vector<double> ticks;
+};
+
+TEST(AttachPolicy, TicksAtZeroThenEveryInterval)
+{
+    sim::Platform platform(testConfig());
+    sim::Engine engine(platform);
+    RecordingPolicy policy;
+    attachPolicy(engine, policy, 0.01);
+    engine.run(0.035);
+    EXPECT_EQ(policy.ticks,
+              (std::vector<double>{0.0, 0.01, 0.02, 0.03}));
+}
+
+TEST(AttachPolicy, GateDropsPollsOnceArmed)
+{
+    FaultPlan plan;
+    plan.seed = 1;
+    plan.poll_drop = 1.0;
+    plan.start_seconds = 0.015;
+    sim::Platform platform(testConfig());
+    sim::Engine engine(platform);
+    FaultInjector injector(plan);
+    RecordingPolicy policy;
+    attachPolicy(engine, policy, 0.01, &injector);
+    injector.arm(engine, platform);
+    engine.run(0.045);
+    // Setup tick and the t=0.01 poll run; every poll after the armed
+    // edge is dropped.
+    EXPECT_EQ(policy.ticks, (std::vector<double>{0.0, 0.01}));
+    EXPECT_EQ(injector.pollsDropped(), 3u);
+}
+
+TEST(AttachPolicy, StaticBaselineReappliesItsLayoutAfterChurn)
+{
+    FaultPlan plan;
+    plan.seed = 1;
+    plan.churn_period_seconds = 0.01;
+    sim::Platform platform(testConfig());
+    sim::Engine engine(platform);
+    FaultInjector injector(plan);
+
+    core::TenantRegistry registry;
+    for (cache::CoreId core : {0u, 1u}) {
+        core::TenantSpec spec;
+        spec.name = "t" + std::to_string(core);
+        spec.cores = {core};
+        spec.initial_ways = 2;
+        registry.add(spec);
+    }
+    const auto policy = core::makePolicy(
+        core::PolicyKind::Static, platform.pqos(), registry,
+        core::IatParams{});
+    const auto initial = platform.llc().closMask(2);
+    ASSERT_EQ(initial.count(), 2u);
+
+    attachPolicy(engine, *policy, 0.005, &injector);
+    injector.setRegistry(&registry);
+    injector.arm(engine, platform);
+
+    // Departure at t=0.01; the t=0.015 tick re-applies the layout.
+    engine.run(0.0105);
+    ASSERT_EQ(registry.size(), 1u);
+    const auto writes = platform.msrBus().writeCount();
+    engine.run(0.005);
+    EXPECT_GT(platform.msrBus().writeCount(), writes)
+        << "the static policy must react to the departure";
+
+    // Re-arrival at t=0.02, re-applied on the t=0.025 tick: the
+    // returning tenant's CLOS holds its static mask again, and the
+    // layout is programmed exactly as at construction.
+    engine.run(0.011);
+    ASSERT_EQ(registry.size(), 2u);
+    EXPECT_EQ(injector.churnEvents(), 2u);
+    EXPECT_EQ(platform.llc().closMask(2), initial);
+    EXPECT_FALSE(platform.llc().closMask(2).overlaps(
+        platform.llc().closMask(1)));
 }
 
 } // namespace

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "core/daemon.hh"
-#include "scenarios/common.hh"
 #include "scenarios/slicing_pmd_xmem.hh"
 #include "util/units.hh"
 #include "wl/xmem.hh"

@@ -12,8 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "core/daemon.hh"
+#include "core/policy.hh"
 #include "scenarios/agg_testpmd.hh"
-#include "scenarios/common.hh"
 
 namespace iat {
 namespace {
@@ -56,8 +56,7 @@ runWorld(bool with_iat, std::uint32_t frame_bytes)
                            [&](double now) { daemon->tick(now); },
                            0.0);
     } else {
-        scenarios::applyStaticLayout(platform.pqos(),
-                                     world.registry());
+        core::applyStaticLayout(platform.pqos(), world.registry());
     }
 
     engine.run(0.06); // warm up and let the daemon settle

@@ -7,8 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "core/daemon.hh"
+#include "core/policy.hh"
 #include "scenarios/agg_testpmd.hh"
-#include "scenarios/common.hh"
 #include "scenarios/corun.hh"
 #include "scenarios/l3fwd.hh"
 #include "scenarios/slicing_pmd_xmem.hh"
@@ -49,7 +49,7 @@ TEST(AggWorld, ConservesPacketsUnderLoad)
     cfg.frame_bytes = 256;
     AggTestPmdWorld world(platform, cfg);
     world.attach(engine);
-    applyStaticLayout(platform.pqos(), world.registry());
+    core::applyStaticLayout(platform.pqos(), world.registry());
     engine.run(0.01);
     // Received frames either left on the wire, are queued, or were
     // dropped at an interior ring (counted in totalDrops).
@@ -63,7 +63,7 @@ TEST(AggWorld, FrameSizeChangeRetargetsLineRate)
     sim::Engine engine(platform);
     AggTestPmdWorld world(platform, {});
     world.attach(engine);
-    applyStaticLayout(platform.pqos(), world.registry());
+    core::applyStaticLayout(platform.pqos(), world.registry());
     world.setFrameBytes(1500);
     engine.run(0.005);
     world.resetStats();
@@ -83,7 +83,7 @@ TEST(AggWorld, ResetStatsClearsWindow)
     sim::Engine engine(platform);
     AggTestPmdWorld world(platform, {});
     world.attach(engine);
-    applyStaticLayout(platform.pqos(), world.registry());
+    core::applyStaticLayout(platform.pqos(), world.registry());
     engine.run(0.002);
     world.resetStats();
     EXPECT_EQ(world.txPackets(), 0u);
@@ -95,7 +95,7 @@ TEST(StaticLayout, ProgramsDisjointBottomPackedMasks)
     sim::Platform platform(worldConfig());
     AggTestPmdWorld world(platform, {});
     const auto masks =
-        applyStaticLayout(platform.pqos(), world.registry());
+        core::applyStaticLayout(platform.pqos(), world.registry());
     cache::WayMask seen{};
     for (const auto mask : masks) {
         EXPECT_TRUE(mask.isValidCbm());
@@ -139,7 +139,7 @@ TEST(L3FwdWorld, TrialWindowCountsOfferedAndDrops)
     cfg.flows = 1000;
     L3FwdWorld world(platform, cfg);
     world.attach(engine);
-    applyStaticLayout(platform.pqos(), world.registry());
+    core::applyStaticLayout(platform.pqos(), world.registry());
     const auto result = world.trialWindow(engine, 0.005, 0.02);
     EXPECT_NEAR(static_cast<double>(result.offered), 2e4, 2e3);
     EXPECT_TRUE(result.zeroLoss());
@@ -154,7 +154,7 @@ TEST(L3FwdWorld, OverloadLosesFrames)
     cfg.rate_pps = 4e7; // far beyond one core's l3fwd capacity
     L3FwdWorld world(platform, cfg);
     world.attach(engine);
-    applyStaticLayout(platform.pqos(), world.registry());
+    core::applyStaticLayout(platform.pqos(), world.registry());
     const auto result = world.trialWindow(engine, 0.005, 0.01);
     EXPECT_FALSE(result.zeroLoss());
 }
