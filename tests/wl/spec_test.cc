@@ -11,6 +11,19 @@
 #include "util/units.hh"
 
 namespace iat::wl {
+
+/**
+ * Print a profile by its name. gtest's default dumps the object's raw
+ * bytes, which include the std::string heap pointer, so the ctest names
+ * gtest_discover_tests derives from --gtest_list_tests changed with
+ * every build.
+ */
+void
+PrintTo(const SpecProfile &profile, std::ostream *os)
+{
+    *os << profile.name;
+}
+
 namespace {
 
 sim::PlatformConfig
