@@ -12,20 +12,6 @@
 
 namespace iat::cache {
 
-namespace {
-
-/** xorshift64 step (Marsaglia); period 2^64-1 over nonzero states. */
-inline std::uint64_t
-xorshift64(std::uint64_t x)
-{
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return x;
-}
-
-} // namespace
-
 SlicedLlc::SlicedLlc(const CacheGeometry &geom, unsigned num_cores,
                      unsigned approx_k)
     : geom_(geom), num_cores_(num_cores),
@@ -52,10 +38,9 @@ SlicedLlc::SlicedLlc(const CacheGeometry &geom, unsigned num_cores,
         static_cast<std::size_t>(model_sets) * geom_.num_ways;
     for (unsigned s = 0; s < geom_.num_slices; ++s) {
         Slice &sl = slices_[s];
-        sl.lines.assign(lines, {});
-        sl.meta.assign(model_sets, {});
+        sl.store.assign(model_sets, geom_.num_ways);
+        sl.owners.assign(lines, 0);
         if (approx_shift_ != 0) {
-            sl.tags.assign(lines, 0);
             sl.sample_match = s & approx_mask_;
             // Distinct nonzero per-slice stream; the constant pair is
             // splitmix64's increment and PCG's default multiplier.
@@ -88,20 +73,6 @@ SlicedLlc::setShadow(LlcShadow *shadow)
                "model; this LLC samples 1/%u sets",
                approx_k_);
     shadow_ = shadow;
-}
-
-bool
-SlicedLlc::estDraw(std::uint64_t &state, std::uint64_t num,
-                   std::uint64_t den)
-{
-    state = xorshift64(state);
-    // Fixed-point threshold draw: scale the low 32 state bits into
-    // [0, den) with a multiply-shift instead of a modulo (den is a
-    // tally count below 2^17, so the product fits and the bias is
-    // 2^-32 -- immeasurable next to the sampling error).
-    return ((static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(state)) *
-             den) >> 32) < num;
 }
 
 void
@@ -295,92 +266,40 @@ SlicedLlc::hasDeviceDdioMask(DeviceId dev) const
            !device_ddio_masks_[dev].empty();
 }
 
-int
-SlicedLlc::findWay(const Slice &sl, unsigned set, LineAddr line) const
-{
-    if (approx_shift_ != 0) {
-        // Approx mode: branch-free scan of the contiguous tag array;
-        // tags are unique per set, so the match mask has <= 1 bit.
-        const LineAddr *tags =
-            &sl.tags[static_cast<std::size_t>(set) * geom_.num_ways];
-        std::uint32_t match = 0;
-        for (unsigned w = 0; w < geom_.num_ways; ++w)
-            match |= static_cast<std::uint32_t>(tags[w] == line) << w;
-        match &= sl.meta[set].valid;
-        if (match == 0)
-            return -1;
-        return std::countr_zero(match);
-    }
-    const Line *ways =
-        &sl.lines[static_cast<std::size_t>(set) * geom_.num_ways];
-    for (std::uint32_t m = sl.meta[set].valid; m != 0; m &= m - 1) {
-        const unsigned w = static_cast<unsigned>(std::countr_zero(m));
-        if (ways[w].tag == line)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-int
-SlicedLlc::findWayMru(Slice &sl, unsigned set, LineAddr line) const
-{
-    SetMeta &meta = sl.meta[set];
-    const unsigned mw = meta.mru;
-    if (approx_shift_ != 0) {
-        const LineAddr *tags =
-            &sl.tags[static_cast<std::size_t>(set) * geom_.num_ways];
-        if (((meta.valid >> mw) & 1u) != 0 && tags[mw] == line)
-            return static_cast<int>(mw);
-        std::uint32_t match = 0;
-        for (unsigned w = 0; w < geom_.num_ways; ++w)
-            match |= static_cast<std::uint32_t>(tags[w] == line) << w;
-        match &= meta.valid;
-        if (match == 0)
-            return -1;
-        const unsigned w =
-            static_cast<unsigned>(std::countr_zero(match));
-        meta.mru = static_cast<std::uint8_t>(w);
-        return static_cast<int>(w);
-    }
-    const Line *ways =
-        &sl.lines[static_cast<std::size_t>(set) * geom_.num_ways];
-    if (((meta.valid >> mw) & 1u) != 0 && ways[mw].tag == line)
-        return static_cast<int>(mw);
-    for (std::uint32_t m = meta.valid; m != 0; m &= m - 1) {
-        const unsigned w = static_cast<unsigned>(std::countr_zero(m));
-        if (ways[w].tag == line) {
-            meta.mru = static_cast<std::uint8_t>(w);
-            return static_cast<int>(w);
-        }
-    }
-    return -1;
-}
-
 unsigned
 SlicedLlc::chooseVictim(const Slice &sl, unsigned set,
                         WayMask mask) const
 {
-    // An invalid way in the mask short-circuits: the ascending scan of
-    // the dense layout returned the first invalid way, which is the
-    // lowest invalid bit here.
-    const std::uint32_t invalid = mask.bits() & ~sl.meta[set].valid;
+    // Victim choice, pinned by RefLlc: the lowest invalid way in the
+    // mask, else the least recently stamped way of the mask.
+    const std::uint32_t invalid =
+        mask.bits() & ~sl.store.meta[set].valid;
     if (invalid != 0)
         return static_cast<unsigned>(std::countr_zero(invalid));
 
-    const Line *ways =
-        &sl.lines[static_cast<std::size_t>(set) * geom_.num_ways];
+    const std::uint32_t *ts = &sl.store.ts[sl.store.at(set, 0)];
     unsigned victim = mask.lowest();
     std::uint32_t best_ts = UINT32_MAX;
     // ts <= best_ts (not <): of equal-stamped ways the highest wins,
     // matching the historical tie-break the tests pin down.
     for (std::uint32_t m = mask.bits(); m != 0; m &= m - 1) {
         const unsigned w = static_cast<unsigned>(std::countr_zero(m));
-        if (ways[w].ts <= best_ts) {
-            best_ts = ways[w].ts;
+        if (ts[w] <= best_ts) {
+            best_ts = ts[w];
             victim = w;
         }
     }
     return victim;
+}
+
+void
+SlicedLlc::dropLine(Slice &sl, unsigned set, LineAddr line)
+{
+    const int w = sl.store.probe(set, line);
+    if (w >= 0) {
+        --rmid_lines_[sl.owners[sl.store.at(set, w)]];
+        sl.store.meta[set].valid &= ~(1u << w);
+    }
 }
 
 void
@@ -390,30 +309,17 @@ SlicedLlc::allocate(Slice &sl, unsigned set, LineAddr line,
 {
     IAT_ASSERT(!mask.empty(), "allocation with empty way mask");
     const unsigned way = chooseVictim(sl, set, mask);
-    Line &entry = sl.lines[static_cast<std::size_t>(set) *
-                               geom_.num_ways +
-                           way];
-    SetMeta &meta = sl.meta[set];
-    const std::uint32_t bit = 1u << way;
-    if (meta.valid & bit) {
-        if (meta.dirty & bit) {
+    const SetMeta &meta = sl.store.meta[set];
+    RmidId &slot = sl.owners[sl.store.at(set, way)];
+    if ((meta.valid >> way) & 1u) {
+        if ((meta.dirty >> way) & 1u) {
             result.writeback = true;
             ++total_writebacks_;
         }
-        --rmid_lines_[entry.owner];
+        --rmid_lines_[slot];
     }
-    entry.tag = line;
-    if (approx_shift_ != 0)
-        sl.tags[static_cast<std::size_t>(set) * geom_.num_ways + way] =
-            line;
-    meta.valid |= bit;
-    if (dirty)
-        meta.dirty |= bit;
-    else
-        meta.dirty &= ~bit;
-    entry.owner = owner;
-    entry.ts = ++sl.clock;
-    meta.mru = static_cast<std::uint8_t>(way);
+    sl.store.fill(set, way, line, dirty);
+    slot = owner;
     ++rmid_lines_[owner];
     result.allocated = true;
 }
@@ -433,17 +339,14 @@ SlicedLlc::applyCoreOp(CoreId core, Slice &sl, unsigned set, CoreOp &op)
     if (!op.writeback)
         ++core_counters_[core].llc_refs;
 
-    const int w = findWayMru(sl, set, line);
+    const int w = sl.store.probe(set, line);
     if (w >= 0) {
         // Footnote 1: hits are serviced from any way, even ways the
         // core's CLOS cannot allocate into.
         op.hit = true;
         op.victim_writeback = false;
-        if (op.writeback || op.type == AccessType::Write)
-            sl.meta[set].dirty |= 1u << w;
-        sl.lines[static_cast<std::size_t>(set) * geom_.num_ways +
-                 static_cast<unsigned>(w)]
-            .ts = ++sl.clock;
+        sl.store.touch(set, w,
+                       op.writeback || op.type == AccessType::Write);
     } else {
         if (!op.writeback)
             ++core_counters_[core].llc_misses;
@@ -567,21 +470,11 @@ SlicedLlc::applyDdioWrite(Slice &sl, unsigned set, LineAddr line,
     if (!ddio_enabled_) {
         // DDIO off: the write still snoops the coherence domain (paper
         // SS II-B) but the data lands in DRAM; drop any stale copy.
-        const int w = findWay(sl, set, line);
-        if (w >= 0) {
-            --rmid_lines_[sl.lines[static_cast<std::size_t>(set) *
-                                       geom_.num_ways +
-                                   static_cast<unsigned>(w)]
-                              .owner];
-            sl.meta[set].valid &= ~(1u << w);
-        }
-    } else if (const int w = findWayMru(sl, set, line); w >= 0) {
+        dropLine(sl, set, line);
+    } else if (const int w = sl.store.probe(set, line); w >= 0) {
         // Write update: the paper's "DDIO hit".
         result.hit = true;
-        sl.meta[set].dirty |= 1u << w;
-        sl.lines[static_cast<std::size_t>(set) * geom_.num_ways +
-                 static_cast<unsigned>(w)]
-            .ts = ++sl.clock;
+        sl.store.touch(set, w, true);
         ++sl.counters.ddio_hits;
         if (dev_ctr)
             ++dev_ctr->ddio_hits;
@@ -654,12 +547,10 @@ SlicedLlc::deviceRead(Addr addr, DeviceId dev)
     }
     ++sl.counters.lookups;
     AccessResult result;
-    const int w = findWayMru(sl, set, line);
+    const int w = sl.store.probe(set, line);
     if (w >= 0) {
         result.hit = true;
-        sl.lines[static_cast<std::size_t>(set) * geom_.num_ways +
-                 static_cast<unsigned>(w)]
-            .ts = ++sl.clock;
+        sl.store.touch(set, w, false);
     }
     // Device reads that miss are serviced from DRAM and, per SS II-B,
     // are not allocated in the LLC.
@@ -690,7 +581,7 @@ SlicedLlc::isPresent(Addr addr) const
     locate(line, slice, set);
     if (!setSampled(slice, set))
         return false;
-    return findWay(slices_[slice], set >> approx_shift_, line) >= 0;
+    return slices_[slice].store.probe(set >> approx_shift_, line) >= 0;
 }
 
 void
@@ -699,21 +590,8 @@ SlicedLlc::invalidate(Addr addr)
     const LineAddr line = addr / geom_.line_bytes;
     unsigned slice, set;
     locate(line, slice, set);
-    if (!setSampled(slice, set)) {
-        if (shadow_ != nullptr)
-            shadow_->onInvalidate(addr);
-        return;
-    }
-    set >>= approx_shift_;
-    Slice &sl = slices_[slice];
-    const int w = findWay(sl, set, line);
-    if (w >= 0) {
-        --rmid_lines_[sl.lines[static_cast<std::size_t>(set) *
-                                   geom_.num_ways +
-                               static_cast<unsigned>(w)]
-                          .owner];
-        sl.meta[set].valid &= ~(1u << w);
-    }
+    if (setSampled(slice, set))
+        dropLine(slices_[slice], set >> approx_shift_, line);
     if (shadow_ != nullptr)
         shadow_->onInvalidate(addr);
 }
@@ -722,11 +600,7 @@ void
 SlicedLlc::flushAll()
 {
     for (auto &sl : slices_) {
-        for (auto &m : sl.meta) {
-            m.valid = 0;
-            m.dirty = 0;
-        }
-        sl.clock = 0;
+        sl.store.clear();
         // The estimator's evidence described the pre-flush cache;
         // restart it cold (the rng stream keeps running).
         for (auto &c : sl.est.cls)
@@ -780,15 +654,13 @@ SlicedLlc::lineAt(unsigned slice, unsigned set, unsigned way) const
     if (!setSampled(slice, set))
         return LineView{};
     set >>= approx_shift_;
-    const Slice &sl = slices_[slice];
-    const Line &entry =
-        sl.lines[static_cast<std::size_t>(set) * geom_.num_ways + way];
+    const TagStore &st = slices_[slice].store;
     LineView view;
-    view.valid = ((sl.meta[set].valid >> way) & 1u) != 0;
-    view.dirty = ((sl.meta[set].dirty >> way) & 1u) != 0;
-    view.tag = entry.tag;
-    view.owner = entry.owner;
-    view.ts = entry.ts;
+    view.valid = ((st.meta[set].valid >> way) & 1u) != 0;
+    view.dirty = ((st.meta[set].dirty >> way) & 1u) != 0;
+    view.tag = st.tags[st.at(set, way)];
+    view.owner = slices_[slice].owners[st.at(set, way)];
+    view.ts = st.ts[st.at(set, way)];
     return view;
 }
 
@@ -796,7 +668,7 @@ std::uint32_t
 SlicedLlc::sliceClock(unsigned slice) const
 {
     IAT_ASSERT(slice < slices_.size(), "slice out of range");
-    return slices_[slice].clock;
+    return slices_[slice].store.clock;
 }
 
 } // namespace iat::cache

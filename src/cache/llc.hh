@@ -23,11 +23,13 @@
  * by the slice count -- exactly what the paper's monitor does -- is
  * sound in the model too.
  *
- * Storage interleaves each line's tag, LRU stamp and owner in one
- * record (a hit touches one host cache line for the probe and the
- * LRU update) while valid/dirty live in per-set bitmasks so victim
- * selection is bit arithmetic. The scalar access paths and the batched ones
- * (accessBatch / ddioWriteRange / deviceReadRange) share the same
+ * Each slice's directory is a TagStore (cache/tag_store.hh): dense
+ * tag and LRU-stamp arrays, per-set valid/dirty bitmasks so victim
+ * selection is bit arithmetic, and one probe -- an MRU check, then a
+ * masked compare of every way -- shared with the L2. A dense owner
+ * array beside it carries each line's RMID. Exact and set-sampled
+ * slices use the same layout. The scalar access paths and the batched
+ * ones (accessBatch / ddioWriteRange / deviceReadRange) share the same
  * per-(slice,set) primitives, and the batched paths are
  * state-equivalent to issuing the scalar calls in op order -- see
  * accessBatch() for the argument, and
@@ -39,9 +41,7 @@
  * iff (s mod K) == (i mod K), a deterministic stratified pick that
  * rotates the sampled congruence class across slices so no address
  * stratum is systematically blind. Sampled sets are stored densely
- * (index s / K) and additionally keep a contiguous tag-only probe
- * array so the way scan touches 8-byte tags instead of 16-byte Line
- * records (SIMD-friendly, K-fold smaller footprint). Accesses to
+ * (index s / K), so the tag store is K-fold smaller. Accesses to
  * unsampled sets never touch the tag store: their outcome is a
  * Bernoulli draw from per-slice per-op-class tallies (demand /
  * core-writeback / DDIO-write / device-read) maintained over the
@@ -60,6 +60,7 @@
 
 #include "cache/geometry.hh"
 #include "cache/shadow.hh"
+#include "cache/tag_store.hh"
 #include "cache/types.hh"
 #include "cache/way_mask.hh"
 
@@ -367,27 +368,6 @@ class SlicedLlc
 
   private:
     /**
-     * One cached line: tag, LRU stamp and owner interleaved so a hit
-     * touches a single host cache line instead of striding three
-     * parallel arrays (the tag probe and the LRU update are always
-     * paired).
-     */
-    struct Line
-    {
-        LineAddr tag = 0;
-        std::uint32_t ts = 0;
-        RmidId owner = 0;
-    };
-
-    /** Per-set control word: way bitmasks plus the MRU way hint. */
-    struct SetMeta
-    {
-        std::uint32_t valid = 0; ///< way bitmask
-        std::uint32_t dirty = 0; ///< way bitmask
-        std::uint8_t mru = 0;    ///< last-touched way
-    };
-
-    /**
      * Outcome tallies for one op class over a slice's sampled sets.
      * hits/misses drive the Bernoulli hit draw for unsampled sets;
      * victim_wbs/misses drives the dirty-victim draw on an estimated
@@ -424,16 +404,8 @@ class SlicedLlc
 
     struct Slice
     {
-        std::vector<Line> lines;   ///< way w of set s: s * ways + w
-        std::vector<SetMeta> meta; ///< per set
-        /**
-         * Approx mode only: tag of way w of set s at s * ways + w,
-         * mirroring lines[].tag. The way scan walks this dense
-         * 8-byte-per-way array branch-free; lines[] is still the
-         * source of ts/owner once the way is known.
-         */
-        std::vector<LineAddr> tags;
-        std::uint32_t clock = 0;
+        TagStore store;             ///< modelled sets, index s / K
+        std::vector<RmidId> owners; ///< per way, indexed as store.tags
         /** Sampled iff (set & approx_mask_) == sample_match. */
         std::uint32_t sample_match = 0;
         Estimator est;
@@ -451,20 +423,13 @@ class SlicedLlc
     void
     locate(LineAddr line, unsigned &slice, unsigned &set) const
     {
-        std::uint64_t h = line + 0x9e3779b97f4a7c15ull;
-        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-        h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-        h ^= h >> 31;
+        const std::uint64_t h = mix64(line);
         slice = static_cast<unsigned>(
             (static_cast<std::uint64_t>(static_cast<std::uint32_t>(h)) *
              geom_.num_slices) >> 32);
         set = static_cast<unsigned>(
             ((h >> 32) * geom_.sets_per_slice) >> 32);
     }
-
-    /** Bernoulli draw with probability num/den; advances @p state. */
-    static bool estDraw(std::uint64_t &state, std::uint64_t num,
-                        std::uint64_t den);
 
     /** Record a sampled-set outcome into its slice's estimator. */
     static void recordEst(Slice &sl, EstClassId cls, bool hit,
@@ -479,24 +444,15 @@ class SlicedLlc
     /** Estimated deviceRead on an unsampled set. */
     AccessResult estimateDeviceRead(Slice &sl);
 
-    /** Way holding @p line in (slice, set), or -1 when absent. */
-    int findWay(const Slice &sl, unsigned set, LineAddr line) const;
-
-    /**
-     * findWay() for the hot paths: checks the set's MRU way before
-     * scanning and keeps it current. Packets are touched several
-     * times back to back (DDIO write, core reads, device read), so
-     * the first compare usually wins. Pure fast path -- a stale MRU
-     * entry only costs the normal scan.
-     */
-    int findWayMru(Slice &sl, unsigned set, LineAddr line) const;
-
     /**
      * Choose the LRU victim among @p mask ways of the given set;
      * prefers invalid ways. Returns the way index.
      */
     unsigned chooseVictim(const Slice &sl, unsigned set,
                           WayMask mask) const;
+
+    /** Drop @p line from (slice, set) if present; updates occupancy. */
+    void dropLine(Slice &sl, unsigned set, LineAddr line);
 
     /** Allocate @p line in @p mask; updates occupancy; fills result. */
     void allocate(Slice &sl, unsigned set, LineAddr line, WayMask mask,

@@ -5,46 +5,11 @@
 
 #include "cache/private_cache.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "util/logging.hh"
 
 namespace iat::cache {
-
-namespace {
-
-inline std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-inline std::uint64_t
-xorshift64(std::uint64_t x)
-{
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return x;
-}
-
-/** Bernoulli draw with probability num/den; advances @p state. The
- *  multiply-shift maps the low 32 state bits into [0, den) (tallies
- *  stay below 2^17, so the product fits; bias 2^-32). */
-inline bool
-estDraw(std::uint64_t &state, std::uint64_t num, std::uint64_t den)
-{
-    state = xorshift64(state);
-    return ((static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(state)) *
-             den) >> 32) < num;
-}
-
-} // namespace
 
 PrivateCache::PrivateCache(const PrivateCacheGeometry &geom)
     : geom_(geom)
@@ -52,11 +17,7 @@ PrivateCache::PrivateCache(const PrivateCacheGeometry &geom)
     IAT_ASSERT(geom_.num_sets >= 1 && geom_.num_ways >= 1,
                "bad private cache geometry");
     IAT_ASSERT(geom_.num_ways <= 32, "way bitmasks are 32 bits wide");
-    const std::size_t lines =
-        static_cast<std::size_t>(geom_.num_sets) * geom_.num_ways;
-    ways_.assign(lines, {});
-    tags_.assign(lines, 0);
-    meta_.assign(geom_.num_sets, {});
+    store_.assign(geom_.num_sets, geom_.num_ways);
     full_mask_ = geom_.num_ways >= 32 ? ~0u
                                       : (1u << geom_.num_ways) - 1u;
 }
@@ -123,74 +84,44 @@ PrivateCache::access(Addr addr, AccessType type)
 {
     const LineAddr line = addr / geom_.line_bytes;
     const unsigned set = setIndex(line);
-    const std::size_t base =
-        static_cast<std::size_t>(set) * geom_.num_ways;
-    Way *ways = &ways_[base];
-    const LineAddr *tags = &tags_[base];
-    SetMeta &meta = meta_[set];
-    const std::uint32_t vmask = meta.valid;
+    const bool write = type == AccessType::Write;
 
     PrivateAccessResult result;
-    const unsigned mw = meta.mru;
-    if (((vmask >> mw) & 1u) != 0 && tags[mw] == line) {
+    if (const int w = store_.probe(set, line); w >= 0) {
         result.hit = true;
         ++hits_;
-        ways[mw].ts = ++clock_;
-        if (type == AccessType::Write)
-            meta.dirty |= 1u << mw;
-        recordEst(type, true, false);
-        return result;
-    }
-    std::uint32_t match = 0;
-    for (unsigned w = 0; w < geom_.num_ways; ++w)
-        match |= static_cast<std::uint32_t>(tags[w] == line) << w;
-    match &= vmask;
-    if (match != 0) {
-        const unsigned w =
-            static_cast<unsigned>(std::countr_zero(match));
-        result.hit = true;
-        ++hits_;
-        ways[w].ts = ++clock_;
-        meta.mru = static_cast<std::uint8_t>(w);
-        if (type == AccessType::Write)
-            meta.dirty |= 1u << w;
+        store_.touch(set, w, write);
         recordEst(type, true, false);
         return result;
     }
 
     ++misses_;
-    // Victim choice preserves the dense layout's combined scan: the
-    // *last* invalid way seen wins; with the set full, the first way
-    // holding the minimum timestamp (strict <) wins.
+    // Victim choice, pinned by RefPrivateCache: the highest invalid
+    // way; with the set full, the lowest way holding the minimum
+    // stamp (strict <).
+    const SetMeta &meta = store_.meta[set];
     unsigned victim;
-    const std::uint32_t invalid = full_mask_ & ~vmask;
+    const std::uint32_t invalid = full_mask_ & ~meta.valid;
     if (invalid != 0) {
         victim = static_cast<unsigned>(std::bit_width(invalid)) - 1u;
     } else {
         victim = 0;
+        const std::uint32_t *ts = &store_.ts[store_.at(set, 0)];
         std::uint32_t best_ts = UINT32_MAX;
         for (unsigned w = 0; w < geom_.num_ways; ++w) {
-            if (ways[w].ts < best_ts) {
-                best_ts = ways[w].ts;
+            if (ts[w] < best_ts) {
+                best_ts = ts[w];
                 victim = w;
             }
         }
     }
 
-    const std::uint32_t bit = 1u << victim;
-    if ((vmask & bit) && (meta.dirty & bit)) {
+    if (((meta.valid & meta.dirty) >> victim) & 1u) {
         result.has_writeback = true;
-        result.writeback_addr = ways[victim].tag * geom_.line_bytes;
+        result.writeback_addr =
+            store_.tags[store_.at(set, victim)] * geom_.line_bytes;
     }
-    ways[victim].tag = line;
-    tags_[base + victim] = line;
-    meta.valid |= bit;
-    if (type == AccessType::Write)
-        meta.dirty |= bit;
-    else
-        meta.dirty &= ~bit;
-    ways[victim].ts = ++clock_;
-    meta.mru = static_cast<std::uint8_t>(victim);
+    store_.fill(set, victim, line, write);
     recordEst(type, false, result.has_writeback);
     return result;
 }
@@ -199,23 +130,13 @@ bool
 PrivateCache::isPresent(Addr addr) const
 {
     const LineAddr line = addr / geom_.line_bytes;
-    const unsigned set = setIndex(line);
-    const LineAddr *tags =
-        &tags_[static_cast<std::size_t>(set) * geom_.num_ways];
-    std::uint32_t match = 0;
-    for (unsigned w = 0; w < geom_.num_ways; ++w)
-        match |= static_cast<std::uint32_t>(tags[w] == line) << w;
-    return (match & meta_[set].valid) != 0;
+    return store_.probe(setIndex(line), line) >= 0;
 }
 
 void
 PrivateCache::invalidateAll()
 {
-    for (auto &m : meta_) {
-        m.valid = 0;
-        m.dirty = 0;
-    }
-    clock_ = 0;
+    store_.clear();
 }
 
 } // namespace iat::cache

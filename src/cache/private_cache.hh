@@ -19,9 +19,9 @@
 #define IATSIM_CACHE_PRIVATE_CACHE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "cache/geometry.hh"
+#include "cache/tag_store.hh"
 #include "cache/types.hh"
 
 namespace iat::cache {
@@ -106,47 +106,22 @@ class PrivateCache
     LineView
     lineAt(unsigned set, unsigned way) const
     {
-        const Way &entry =
-            ways_[static_cast<std::size_t>(set) * geom_.num_ways + way];
         LineView view;
-        view.valid = ((meta_[set].valid >> way) & 1u) != 0;
-        view.dirty = ((meta_[set].dirty >> way) & 1u) != 0;
-        view.tag = entry.tag;
-        view.ts = entry.ts;
+        view.valid = ((store_.meta[set].valid >> way) & 1u) != 0;
+        view.dirty = ((store_.meta[set].dirty >> way) & 1u) != 0;
+        view.tag = store_.tags[store_.at(set, way)];
+        view.ts = store_.ts[store_.at(set, way)];
         return view;
     }
 
     /** LRU clock (wraps at 2^32 by design). */
-    std::uint32_t clock() const { return clock_; }
+    std::uint32_t clock() const { return store_.clock; }
 
   private:
     unsigned setIndex(LineAddr line) const;
 
     /** Feed one exact outcome into the estimateAccess() tallies. */
     void recordEst(AccessType type, bool hit, bool victim_wb);
-
-    /** One cached line: tag and LRU stamp interleaved so the hit
-     *  path -- the simulator's single hottest loop -- touches one
-     *  host cache line for both the tag probe and the LRU update. */
-    struct Way
-    {
-        LineAddr tag = 0;
-        std::uint32_t ts = 0;
-    };
-
-    /**
-     * Per-set control word: valid/dirty way bitmasks plus the
-     * most-recently-used way. Packet handlers touch the same line
-     * many times per packet, so checking the MRU way first
-     * short-circuits the tag scan for the common case. Pure fast
-     * path: a stale or wrong entry only costs the normal scan.
-     */
-    struct SetMeta
-    {
-        std::uint32_t valid = 0;
-        std::uint32_t dirty = 0;
-        std::uint8_t mru = 0;
-    };
 
     /**
      * Tallies behind estimateAccess(), one class per access type
@@ -182,18 +157,10 @@ class PrivateCache
     static constexpr std::uint64_t kEstStreakCap = 1ull << 20;
 
     PrivateCacheGeometry geom_;
-    std::vector<Way> ways_; ///< way w of set s: s * num_ways + w
-    /**
-     * Mirror of ways_[].tag in a dense 8-byte-per-way array so the
-     * full-set probe is a branch-free compare loop the compiler can
-     * vectorize; ways_ stays the source of the LRU stamp. Tags are
-     * unique per set, so the match mask holds at most one bit and
-     * "lowest matching way" equals the historical first-match scan.
-     */
-    std::vector<LineAddr> tags_;
-    std::vector<SetMeta> meta_; ///< per set
-    std::uint32_t full_mask_ = 0;
-    std::uint32_t clock_ = 0;
+    /** Tags, LRU stamps and per-set valid/dirty/MRU words, in the
+     *  layout and with the probe the LLC uses (cache/tag_store.hh). */
+    TagStore store_;
+    std::uint32_t full_mask_ = 0; ///< one bit per way
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     EstClass est_[2]; ///< indexed by type == Write

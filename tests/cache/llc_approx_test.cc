@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stale_tag_case.hh"
 #include "util/rng.hh"
 
 namespace iat::cache {
@@ -198,6 +199,13 @@ TEST(LlcApprox, OccupancyExtrapolatesByTheSamplingPeriod)
                          << approx_lines;
     // And it is a multiple of K by construction.
     EXPECT_EQ(approx_lines % 4, 0u);
+}
+
+TEST(LlcApprox, StaleTagInInvalidWayNeverMatches)
+{
+    // The exact-model case, run on a sampled set at K = 4.
+    SlicedLlc llc(smallGeom(), 1, 4);
+    checkStaleTagNeverMatches(llc);
 }
 
 } // namespace

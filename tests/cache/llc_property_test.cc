@@ -126,10 +126,10 @@ INSTANTIATE_TEST_SUITE_P(
                     GeometryCase{4, 256, 11},
                     GeometryCase{18, 2048, 11},
                     GeometryCase{3, 100, 5}),
-    [](const testing::TestParamInfo<GeometryCase> &info) {
-        return "s" + std::to_string(info.param.slices) + "x" +
-               std::to_string(info.param.sets) + "w" +
-               std::to_string(info.param.ways);
+    [](const testing::TestParamInfo<GeometryCase> &param_info) {
+        return "s" + std::to_string(param_info.param.slices) + "x" +
+               std::to_string(param_info.param.sets) + "w" +
+               std::to_string(param_info.param.ways);
     });
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <set>
 #include <vector>
 
+#include "stale_tag_case.hh"
 #include "util/units.hh"
 
 namespace iat::cache {
@@ -289,6 +290,11 @@ TEST_F(LlcTest, HitsDistributeAcrossSlices)
             static_cast<double>(n);
         EXPECT_NEAR(share, 1.0 / llc.geometry().num_slices, 0.05);
     }
+}
+
+TEST_F(LlcTest, StaleTagInInvalidWayNeverMatches)
+{
+    checkStaleTagNeverMatches(llc);
 }
 
 TEST(LlcFullGeometry, TableIConfiguration)

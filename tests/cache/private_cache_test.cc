@@ -90,6 +90,53 @@ TEST(PrivateCache, InvalidateAllClears)
     EXPECT_FALSE(l2.access(64, AccessType::Read).hit);
 }
 
+TEST(PrivateCache, StaleTagInInvalidWayNeverMatches)
+{
+    // One set, so every line conflicts. Misses fill the highest
+    // invalid way: Y1 -> 3, Y2 -> 2, X -> 1.
+    PrivateCacheGeometry g;
+    g.num_sets = 1;
+    g.num_ways = 4;
+    PrivateCache l2(g);
+    const Addr x = 10 * 64;
+    l2.access(11 * 64, AccessType::Read);
+    l2.access(12 * 64, AccessType::Read);
+    l2.access(x, AccessType::Write);
+    ASSERT_EQ(l2.lineAt(0, 1).tag, x / 64);
+
+    // invalidateAll keeps the tags: way 1 holds a stale X and is
+    // still the MRU way, yet X must read as absent.
+    l2.invalidateAll();
+    const auto stale = l2.lineAt(0, 1);
+    ASSERT_FALSE(stale.valid);
+    ASSERT_EQ(stale.tag, x / 64);
+    EXPECT_FALSE(l2.isPresent(x));
+
+    // X refills way 3 and Z way 2, which becomes the MRU way: lookups
+    // of X now run the full compare, where stale way 1 matches first.
+    EXPECT_FALSE(l2.access(x, AccessType::Read).hit);
+    l2.access(13 * 64, AccessType::Read);
+    ASSERT_EQ(l2.lineAt(0, 3).tag, x / 64);
+    ASSERT_EQ(l2.lineAt(0, 2).tag, 13u);
+
+    const auto expectStaleUntouched = [&](const char *step) {
+        const auto v = l2.lineAt(0, 1);
+        EXPECT_FALSE(v.valid) << step;
+        EXPECT_EQ(v.dirty, stale.dirty) << step;
+        EXPECT_EQ(v.tag, stale.tag) << step;
+        EXPECT_EQ(v.ts, stale.ts) << step;
+    };
+    EXPECT_TRUE(l2.access(x, AccessType::Read).hit);
+    EXPECT_EQ(l2.lineAt(0, 3).ts, l2.clock());
+    EXPECT_FALSE(l2.lineAt(0, 3).dirty);
+    expectStaleUntouched("hit");
+    EXPECT_TRUE(l2.access(x, AccessType::Write).hit);
+    EXPECT_TRUE(l2.lineAt(0, 3).dirty);
+    expectStaleUntouched("write");
+    EXPECT_TRUE(l2.isPresent(x));
+    expectStaleUntouched("isPresent");
+}
+
 TEST(PrivateCache, CapacityBounded)
 {
     PrivateCache l2(tinyL2()); // 32 lines

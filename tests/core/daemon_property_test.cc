@@ -125,8 +125,9 @@ TEST_P(DaemonFuzz, InvariantsHoldUnderRandomTraffic)
                       mask);
         }
         ASSERT_GE(alloc.ddioWays(), params.ddio_ways_min);
-        if (!external_ddio_change)
+        if (!external_ddio_change) {
             ASSERT_LE(alloc.ddioWays(), params.ddio_ways_max);
+        }
         ASSERT_EQ(platform.pqos().ddioGetWays().count(),
                   alloc.ddioWays());
 

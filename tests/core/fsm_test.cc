@@ -309,8 +309,8 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(IatState::LowKeep, IatState::HighKeep,
                     IatState::IoDemand, IatState::CoreDemand,
                     IatState::Reclaim),
-    [](const testing::TestParamInfo<IatState> &info) {
-        return toString(info.param);
+    [](const testing::TestParamInfo<IatState> &param_info) {
+        return toString(param_info.param);
     });
 
 } // namespace

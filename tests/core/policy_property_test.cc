@@ -53,8 +53,8 @@ TEST_P(PolicyPropertyTest, ContractHoldsOverLongSequences)
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, PolicyPropertyTest,
     testing::ValuesIn(core::allPolicyKinds()),
-    [](const testing::TestParamInfo<core::PolicyKind> &info) {
-        std::string name = core::toString(info.param);
+    [](const testing::TestParamInfo<core::PolicyKind> &param_info) {
+        std::string name = core::toString(param_info.param);
         for (auto &c : name) {
             if (c == '-')
                 c = '_';

@@ -119,7 +119,7 @@ TEST(Engine, RunnablesExecuteInAdditionOrder)
     std::vector<int> order;
     struct Tagger : Runnable
     {
-        Tagger(std::vector<int> &log, int tag) : log(log), tag(tag) {}
+        Tagger(std::vector<int> &out, int t) : log(out), tag(t) {}
         void
         runQuantum(double, double) override
         {

@@ -156,8 +156,8 @@ TEST_P(SpecProfileProperty, RunsCleanly)
 INSTANTIATE_TEST_SUITE_P(
     AllProfiles, SpecProfileProperty,
     testing::ValuesIn(spec2006Profiles()),
-    [](const testing::TestParamInfo<SpecProfile> &info) {
-        return info.param.name;
+    [](const testing::TestParamInfo<SpecProfile> &param_info) {
+        return param_info.param.name;
     });
 
 } // namespace
