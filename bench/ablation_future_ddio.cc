@@ -52,7 +52,7 @@ runSplitCase(std::uint64_t header_bytes, double scale,
         world.nic(n).setDdioHeaderSplit(header_bytes);
 
     engine.run(0.05 * scale);
-    world.resetStats();
+    world.resetWindow();
     const auto ddio0 = platform.pqos().ddioPollExact();
     const auto &dram = platform.dram().counters();
     const auto dram0 =

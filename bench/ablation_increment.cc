@@ -15,6 +15,7 @@
 
 #include "bench/common.hh"
 #include "scenarios/agg_testpmd.hh"
+#include "scenarios/host.hh"
 
 namespace {
 
@@ -31,31 +32,28 @@ struct Row
 Row
 runCase(bool adaptive, double scale, std::uint64_t seed)
 {
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
     scenarios::AggTestPmdConfig cfg;
     cfg.frame_bytes = 1500;
     cfg.seed = seed;
-    scenarios::AggTestPmdWorld world(platform, cfg);
-    world.attach(engine);
+    scenarios::Host host(bench::benchPlatform());
+    auto &platform = host.platform();
+    auto &engine = host.engine();
+    host.emplace<scenarios::AggTestPmdWorld>(cfg);
 
-    core::IatParams params;
-    params.interval_seconds = 5e-3;
+    auto params = bench::benchParams();
     params.adaptive_io_step = adaptive;
-    core::IatDaemon daemon(platform.pqos(), world.registry(),
-                           params, core::TenantModel::Aggregation);
+    const core::IatDaemon &daemon =
+        *host.start(core::PolicyKind::Iat, params).daemon();
 
     Row row;
     unsigned last_change = 0;
     unsigned interval = 0;
     unsigned prev_ways = 2;
+    // Registered after the policy's tick, so at each poll time it
+    // observes the way count that tick just chose.
     engine.addPeriodic(
         params.interval_seconds,
-        [&](double now) {
-            daemon.tick(now);
+        [&](double) {
             ++interval;
             if (daemon.ddioWays() != prev_ways) {
                 prev_ways = daemon.ddioWays();

@@ -17,6 +17,7 @@
 #include "bench/common.hh"
 #include "core/baselines.hh"
 #include "scenarios/agg_testpmd.hh"
+#include "scenarios/host.hh"
 
 namespace {
 
@@ -34,28 +35,20 @@ Row
 runCase(bool with_iat, std::uint32_t ring_entries, double scale,
         std::uint64_t seed)
 {
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
     scenarios::AggTestPmdConfig cfg;
     cfg.frame_bytes = 1500;
     cfg.ring_entries = ring_entries;
     cfg.seed = seed;
-    scenarios::AggTestPmdWorld world(platform, cfg);
-    world.attach(engine);
-
-    core::IatParams params;
-    params.interval_seconds = 5e-3;
-    const auto policy = core::makePolicy(
-        with_iat ? core::PolicyKind::Iat : core::PolicyKind::Static,
-        platform.pqos(), world.registry(), params,
-        core::TenantModel::Aggregation);
-    fault::attachPolicy(engine, *policy, params.interval_seconds);
+    scenarios::Host host(bench::benchPlatform());
+    auto &platform = host.platform();
+    auto &engine = host.engine();
+    auto &world = host.emplace<scenarios::AggTestPmdWorld>(cfg);
+    host.start(with_iat ? core::PolicyKind::Iat
+                        : core::PolicyKind::Static,
+               bench::benchParams());
 
     engine.run(0.06 * scale);
-    world.resetStats();
+    world.resetWindow();
     const auto ddio0 = platform.pqos().ddioPollExact();
     const auto &dram = platform.dram().counters();
     const auto dram0 =

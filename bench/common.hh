@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared bench harness plumbing: figure labels, the fairness axis,
- * measurement-window helpers, and output conventions. Benches build
- * policies with core::makePolicy() and tick them with
- * fault::attachPolicy(), like every other front end.
+ * measurement-window helpers, and output conventions. Benches
+ * assemble each run on a scenarios::Host, like every other front
+ * end.
  *
  * Every bench binary regenerates one table or figure of the paper
  * (see DESIGN.md's experiment index), prints it as an aligned table,
@@ -145,6 +145,25 @@ finishBench(TablePrinter &table, const CliArgs &args)
     // anything left is a typo the parser would otherwise swallow.
     args.declareKnown({"quick", "seed"});
     args.warnUnknown();
+}
+
+/** The 8-core platform every scenario bench runs on. */
+inline sim::PlatformConfig
+benchPlatform()
+{
+    sim::PlatformConfig pc;
+    pc.num_cores = 8;
+    return pc;
+}
+
+/** Table II parameters at the benches' scaled 5 ms poll interval
+ *  (DESIGN.md SS1, "time scaling"). */
+inline core::IatParams
+benchParams()
+{
+    core::IatParams params;
+    params.interval_seconds = 5e-3;
+    return params;
 }
 
 /** Scale factor for --quick smoke runs. */

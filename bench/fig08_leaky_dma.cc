@@ -20,6 +20,7 @@
 
 #include "bench/common.hh"
 #include "scenarios/agg_testpmd.hh"
+#include "scenarios/host.hh"
 
 namespace {
 
@@ -39,26 +40,17 @@ Row
 runCase(core::PolicyKind kind, std::uint32_t frame_bytes,
         double scale, std::uint64_t seed)
 {
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
     scenarios::AggTestPmdConfig cfg;
     cfg.frame_bytes = frame_bytes;
     cfg.seed = seed;
-    scenarios::AggTestPmdWorld world(platform, cfg);
-    world.attach(engine);
-
-    core::IatParams params;
-    params.interval_seconds = 5e-3;
-    const auto policy =
-        core::makePolicy(kind, platform.pqos(), world.registry(),
-                         params, core::TenantModel::Aggregation);
-    fault::attachPolicy(engine, *policy, params.interval_seconds);
+    scenarios::Host host(bench::benchPlatform());
+    auto &platform = host.platform();
+    auto &engine = host.engine();
+    auto &world = host.emplace<scenarios::AggTestPmdWorld>(cfg);
+    host.start(kind, bench::benchParams());
 
     engine.run(0.06 * scale); // settle (daemon ramps DDIO here)
-    world.resetStats();
+    world.resetWindow();
 
     const auto ddio0 = platform.pqos().ddioPollExact();
     const auto &dram = platform.dram().counters();

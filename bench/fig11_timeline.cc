@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "bench/common.hh"
+#include "scenarios/host.hh"
 #include "scenarios/slicing_pmd_xmem.hh"
 #include "util/units.hh"
 
@@ -25,36 +26,23 @@ main(int argc, char **argv)
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
 
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
     scenarios::SlicingPmdXmemConfig cfg;
     cfg.frame_bytes = 1500;
     cfg.seed = seed;
-    scenarios::SlicingPmdXmemWorld world(platform, cfg);
-    world.attach(engine);
-
-    core::IatParams params;
-    params.interval_seconds = 5e-3;
-    core::IatDaemon daemon(platform.pqos(), world.registry(), params,
-                           core::TenantModel::Slicing);
-    daemon.setDdioTuningEnabled(false); // paper footnote 3
-    engine.addPeriodic(params.interval_seconds,
-                       [&](double now) { daemon.tick(now); }, 0.0);
+    scenarios::Host host(bench::benchPlatform());
+    auto &platform = host.platform();
+    auto &engine = host.engine();
+    auto &world = host.emplace<scenarios::SlicingPmdXmemWorld>(cfg);
 
     // --trace gives this figure as an interactive Perfetto timeline;
     // --metrics exports the same series the table prints.
     auto telemetry = obs::makeTelemetry(args);
-    if (telemetry) {
-        daemon.setTelemetry(telemetry.get());
-        engine.attachTelemetry(telemetry.get());
-        if (world.pipeline())
-            world.pipeline()->setTelemetry(telemetry.get());
-        sim::installPlatformSampler(engine, platform, *telemetry,
-                                    params.interval_seconds);
-    }
+    const auto params = bench::benchParams();
+    // Paper footnote 3: DDIO tuning off, the shuffle on its own.
+    const core::IatDaemon &daemon =
+        *host.start(core::PolicyKind::IatNoDdio, params,
+                    telemetry.get())
+             .daemon();
 
     // Scripted phases (paper: 5s and 15s; scaled per DESIGN.md).
     const double t1 = 0.06 * scale;

@@ -19,6 +19,7 @@
 
 #include "bench/common.hh"
 #include "scenarios/corun.hh"
+#include "scenarios/host.hh"
 
 namespace {
 
@@ -29,37 +30,22 @@ double
 measureProgress(core::PolicyKind kind, int placement,
                 scenarios::CorunConfig cfg, bool solo, double scale)
 {
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-    scenarios::CorunWorld world(platform, cfg);
-    world.attach(engine);
-
-    std::unique_ptr<core::Policy> policy;
+    scenarios::Host host(bench::benchPlatform());
+    auto &world = host.emplace<scenarios::CorunWorld>(cfg);
     if (solo) {
         world.setNetworkingActive(false);
         world.setBackgroundActive(false);
         world.applyDeterministicPlacement(0);
     } else if (kind == core::PolicyKind::Static) {
         world.applyDeterministicPlacement(placement);
-    } else {
-        core::IatParams params;
-        params.interval_seconds = 5e-3;
-        policy = core::makePolicy(
-            kind, platform.pqos(), world.registry(), params,
-            cfg.net_app == scenarios::CorunConfig::NetApp::Redis
-                ? core::TenantModel::Aggregation
-                : core::TenantModel::Slicing);
-        if (auto *daemon = policy->daemon()) {
-            // SS VI-C: tenant way tuning disabled for the app study.
-            daemon->setTenantTuningEnabled(false);
-        }
-        fault::attachPolicy(engine, *policy, params.interval_seconds);
+    } else if (auto *daemon =
+                   host.start(kind, bench::benchParams()).daemon()) {
+        // SS VI-C: tenant way tuning disabled for the app study.
+        daemon->setTenantTuningEnabled(false);
     }
-    engine.run(0.04 * scale);
+    host.engine().run(0.04 * scale);
     world.resetWindow();
-    engine.run(0.08 * scale);
+    host.engine().run(0.08 * scale);
     return static_cast<double>(world.pcAppProgress());
 }
 

@@ -14,6 +14,7 @@
 
 #include "bench/common.hh"
 #include "scenarios/corun.hh"
+#include "scenarios/host.hh"
 
 namespace {
 
@@ -25,42 +26,27 @@ measureKindLatencies(core::PolicyKind kind, int placement, char mix,
                      scenarios::CorunConfig::NetApp net, bool solo,
                      double scale, std::uint64_t seed)
 {
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
     scenarios::CorunConfig cfg;
     cfg.net_app = net;
     cfg.pc_app = "rocksdb";
     cfg.rocksdb_mix = mix;
     cfg.seed = seed;
-    scenarios::CorunWorld world(platform, cfg);
-    world.attach(engine);
-
-    std::unique_ptr<core::Policy> policy;
+    scenarios::Host host(bench::benchPlatform());
+    auto &world = host.emplace<scenarios::CorunWorld>(cfg);
     if (solo) {
         world.setNetworkingActive(false);
         world.setBackgroundActive(false);
         world.applyDeterministicPlacement(0);
     } else if (kind == core::PolicyKind::Static) {
         world.applyDeterministicPlacement(placement);
-    } else {
-        core::IatParams params;
-        params.interval_seconds = 5e-3;
-        policy = core::makePolicy(
-            kind, platform.pqos(), world.registry(), params,
-            net == scenarios::CorunConfig::NetApp::Redis
-                ? core::TenantModel::Aggregation
-                : core::TenantModel::Slicing);
-        if (auto *daemon = policy->daemon())
-            daemon->setTenantTuningEnabled(false);
-        fault::attachPolicy(engine, *policy, params.interval_seconds);
+    } else if (auto *daemon =
+                   host.start(kind, bench::benchParams()).daemon()) {
+        daemon->setTenantTuningEnabled(false);
     }
 
-    engine.run(0.04 * scale);
+    host.engine().run(0.04 * scale);
     world.resetWindow();
-    engine.run(0.08 * scale);
+    host.engine().run(0.08 * scale);
 
     std::array<double, 5> means{};
     for (unsigned k = 0; k < 5; ++k) {

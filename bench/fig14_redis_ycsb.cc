@@ -15,6 +15,7 @@
 
 #include "bench/common.hh"
 #include "scenarios/corun.hh"
+#include "scenarios/host.hh"
 
 namespace {
 
@@ -31,45 +32,32 @@ RedisSample
 runCase(core::PolicyKind kind, int placement, char mix, bool solo,
         double scale, std::uint64_t seed)
 {
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
     scenarios::CorunConfig cfg;
     cfg.net_app = scenarios::CorunConfig::NetApp::Redis;
     cfg.pc_app = "rocksdb"; // the paper's cache-hungry PC co-runner
     cfg.redis_mix = mix;
     cfg.seed = seed;
-    scenarios::CorunWorld world(platform, cfg);
-    world.attach(engine);
-
-    std::unique_ptr<core::Policy> policy;
+    scenarios::Host host(bench::benchPlatform());
+    auto &world = host.emplace<scenarios::CorunWorld>(cfg);
     if (solo) {
         world.setBackgroundActive(false);
         // PC app paused too: Redis runs alone with the switch.
         world.applyDeterministicPlacement(0);
     } else if (kind == core::PolicyKind::Static) {
         world.applyDeterministicPlacement(placement);
-    } else {
-        core::IatParams params;
-        params.interval_seconds = 5e-3;
-        policy = core::makePolicy(kind, platform.pqos(),
-                                  world.registry(), params,
-                                  core::TenantModel::Aggregation);
-        if (auto *daemon = policy->daemon())
-            daemon->setTenantTuningEnabled(false);
-        fault::attachPolicy(engine, *policy, params.interval_seconds);
+    } else if (auto *daemon =
+                   host.start(kind, bench::benchParams()).daemon()) {
+        daemon->setTenantTuningEnabled(false);
     }
 
-    engine.run(0.04 * scale);
+    host.engine().run(0.04 * scale);
     world.resetWindow();
     const double window = 0.08 * scale;
-    engine.run(window);
+    host.engine().run(window);
 
     RedisSample s;
     s.ops_per_s = world.redisResponses() / window;
-    const auto hist = world.redisLatency();
+    const auto hist = world.latency();
     s.avg_latency_s = hist.mean();
     s.p99_latency_s = hist.percentile(0.99);
     return s;

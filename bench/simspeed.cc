@@ -49,13 +49,13 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/common.hh"
 #include "check/approx.hh"
 #include "scenarios/agg_testpmd.hh"
+#include "scenarios/host.hh"
 
 namespace {
 
@@ -104,35 +104,23 @@ struct Result
     }
 };
 
-/** One scenario instance: platform, engine, world and policy. */
-struct WorldHandle
+sim::PlatformConfig
+platformConfig(unsigned llc_approx)
 {
-    std::unique_ptr<sim::Platform> platform;
-    std::unique_ptr<sim::Engine> engine;
-    std::unique_ptr<scenarios::AggTestPmdWorld> world;
-    core::IatParams params;
-    std::unique_ptr<core::Policy> policy;
-};
-
-std::unique_ptr<WorldHandle>
-buildWorld(const scenarios::AggTestPmdConfig &cfg,
-           core::PolicyKind kind, unsigned llc_approx)
-{
-    auto h = std::make_unique<WorldHandle>();
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
+    sim::PlatformConfig pc = bench::benchPlatform();
     pc.llc_approx = llc_approx;
-    h->platform = std::make_unique<sim::Platform>(pc);
-    h->engine = std::make_unique<sim::Engine>(*h->platform);
-    h->world = std::make_unique<scenarios::AggTestPmdWorld>(
-        *h->platform, cfg);
-    h->world->attach(*h->engine);
-    h->policy = core::makePolicy(kind, h->platform->pqos(),
-                                 h->world->registry(), h->params,
-                                 core::TenantModel::Aggregation);
-    fault::attachPolicy(*h->engine, *h->policy,
-                        h->params.interval_seconds);
-    return h;
+    return pc;
+}
+
+/** Put the measured world and @p kind (at the Table II interval)
+ *  on @p host. */
+scenarios::AggTestPmdWorld &
+assemble(scenarios::Host &host, const scenarios::AggTestPmdConfig &cfg,
+         core::PolicyKind kind)
+{
+    auto &world = host.emplace<scenarios::AggTestPmdWorld>(cfg);
+    host.start(kind, core::IatParams{});
+    return world;
 }
 
 /**
@@ -253,10 +241,10 @@ main(int argc, char **argv)
         static_cast<std::uint64_t>(args.getInt("flows", 1));
     cfg.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
 
-    auto h = buildWorld(cfg, kind, llc_approx);
-    sim::Platform &platform = *h->platform;
-    sim::Engine &engine = *h->engine;
-    scenarios::AggTestPmdWorld &world = *h->world;
+    scenarios::Host host(platformConfig(llc_approx));
+    sim::Platform &platform = host.platform();
+    sim::Engine &engine = host.engine();
+    scenarios::AggTestPmdWorld &world = assemble(host, cfg, kind);
 
     // Live speed gauges: refreshed per sample from wall deltas.
     auto telemetry = obs::makeTelemetry(args);
@@ -335,27 +323,28 @@ main(int argc, char **argv)
     double rx_rel_err = 0.0, tx_rel_err = 0.0;
     std::uint64_t exact_rx = 0, exact_tx = 0;
     if (compare_exact) {
-        auto ex = buildWorld(cfg, kind, 1);
+        scenarios::Host ex(platformConfig(1));
+        auto &ex_world = assemble(ex, cfg, kind);
         if (warmup_s > 0.0)
-            ex->engine->run(warmup_s);
+            ex.engine().run(warmup_s);
         const std::uint64_t ex_pkts0 =
-            stagePackets(*ex->world->pipeline());
-        const std::uint64_t ex_rx0 = ex->world->rxPackets();
-        const std::uint64_t ex_tx0 = ex->world->txPackets();
+            stagePackets(*ex_world.pipeline());
+        const std::uint64_t ex_rx0 = ex_world.rxPackets();
+        const std::uint64_t ex_tx0 = ex_world.txPackets();
         const auto t0 = Clock::now();
-        ex->engine->run(measure_s * legs);
+        ex.engine().run(measure_s * legs);
         const auto t1 = Clock::now();
         const double wall = wallSeconds(t0, t1);
         const std::uint64_t ex_pkts =
-            stagePackets(*ex->world->pipeline()) - ex_pkts0;
+            stagePackets(*ex_world.pipeline()) - ex_pkts0;
         exact_rate = wall > 0.0 ? ex_pkts / wall : 0.0;
-        exact_rx = ex->world->rxPackets() - ex_rx0;
-        exact_tx = ex->world->txPackets() - ex_tx0;
+        exact_rx = ex_world.rxPackets() - ex_rx0;
+        exact_tx = ex_world.txPackets() - ex_tx0;
         rx_rel_err = relErr(static_cast<double>(exact_rx),
                             static_cast<double>(res.rx_packets));
         tx_rel_err = relErr(static_cast<double>(exact_tx),
                             static_cast<double>(res.tx_packets));
-        err = check::measureApproxErrors(ex->platform->llc(),
+        err = check::measureApproxErrors(ex.platform().llc(),
                                          platform.llc());
     }
 

@@ -8,12 +8,12 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <memory>
 #include <stdexcept>
 
 #include "check/fuzz.hh"
 #include "cluster/world.hh"
 #include "scenarios/agg_testpmd.hh"
+#include "scenarios/host.hh"
 #include "scenarios/l3fwd.hh"
 #include "scenarios/slicing_pmd_xmem.hh"
 #include "sim/stats_report.hh"
@@ -50,6 +50,21 @@ fig03ZeroLossRate(std::uint32_t frame_bytes, std::uint32_t ring_entries,
     return net::rfc2544Search(trial, search);
 }
 
+namespace {
+
+/** The Fig 9 ramp's world at its first plateau (one flow). */
+scenarios::AggTestPmdConfig
+fig09Config(std::uint64_t seed)
+{
+    scenarios::AggTestPmdConfig cfg;
+    cfg.frame_bytes = 64;
+    cfg.flows = 1;
+    cfg.seed = seed;
+    return cfg;
+}
+
+} // namespace
+
 const std::vector<std::uint64_t> &
 fig09FlowPlateaus()
 {
@@ -61,31 +76,19 @@ fig09FlowPlateaus()
 std::vector<Fig09Plateau>
 fig09RunRamp(core::PolicyKind kind, double scale, std::uint64_t seed)
 {
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
-    scenarios::AggTestPmdConfig cfg;
-    cfg.frame_bytes = 64;
-    cfg.flows = 1;
-    cfg.seed = seed;
-    scenarios::AggTestPmdWorld world(platform, cfg);
-    world.attach(engine);
-
-    core::IatParams params;
-    params.interval_seconds = 5e-3;
-    const auto policy =
-        core::makePolicy(kind, platform.pqos(), world.registry(),
-                         params, core::TenantModel::Aggregation);
-    fault::attachPolicy(engine, *policy, params.interval_seconds);
-    const core::IatDaemon *daemon = policy->daemon();
+    scenarios::Host host(benchPlatform());
+    auto &platform = host.platform();
+    auto &engine = host.engine();
+    auto &world =
+        host.emplace<scenarios::AggTestPmdWorld>(fig09Config(seed));
+    const core::IatDaemon *daemon =
+        host.start(kind, benchParams()).daemon();
 
     std::vector<Fig09Plateau> rows;
     for (const auto flows : fig09FlowPlateaus()) {
         world.setFlows(flows);
         engine.run(0.05 * scale); // settle at the new population
-        world.resetStats();
+        world.resetWindow();
         std::uint64_t inst0 = 0, cyc0 = 0, miss0 = 0;
         for (const auto core : world.ovsCores()) {
             inst0 += platform.instructionsRetired(core);
@@ -119,23 +122,14 @@ Fig10Result
 fig10RunCase(core::PolicyKind kind, std::uint32_t frame_bytes,
              double scale, std::uint64_t seed)
 {
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
     scenarios::SlicingPmdXmemConfig cfg;
     cfg.frame_bytes = frame_bytes;
     cfg.seed = seed;
-    scenarios::SlicingPmdXmemWorld world(platform, cfg);
-    world.attach(engine);
-
-    core::IatParams params;
-    params.interval_seconds = 5e-3;
-    const auto policy =
-        core::makePolicy(kind, platform.pqos(), world.registry(),
-                         params, core::TenantModel::Slicing);
-    fault::attachPolicy(engine, *policy, params.interval_seconds);
+    scenarios::Host host(benchPlatform());
+    auto &platform = host.platform();
+    auto &engine = host.engine();
+    auto &world = host.emplace<scenarios::SlicingPmdXmemWorld>(cfg);
+    host.start(kind, benchParams());
 
     const double t1 = 0.06 * scale;
     const double t2 = 0.20 * scale;
@@ -175,40 +169,18 @@ ChaosResult
 chaosRunCase(core::PolicyKind kind, const fault::FaultPlan &plan,
              bool hardening, double scale, std::uint64_t seed)
 {
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
-    scenarios::AggTestPmdConfig cfg;
-    cfg.frame_bytes = 64;
-    cfg.flows = 1;
-    cfg.seed = seed;
-    scenarios::AggTestPmdWorld world(platform, cfg);
-    world.attach(engine);
-
-    core::IatParams params;
-    params.interval_seconds = 5e-3;
-
+    scenarios::Host host(benchPlatform());
+    auto &platform = host.platform();
+    auto &engine = host.engine();
+    auto &world =
+        host.emplace<scenarios::AggTestPmdWorld>(fig09Config(seed));
     fault::FaultPlan effective = plan;
     if (effective.seed == 0)
         effective.seed = seed;
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (effective.any())
-        injector = std::make_unique<fault::FaultInjector>(effective);
-
-    const auto policy = core::makePolicy(
-        kind, platform.pqos(), world.registry(), params,
-        core::TenantModel::Aggregation, nullptr, hardening);
-    fault::attachPolicy(engine, *policy, params.interval_seconds,
-                        injector.get());
-    core::IatDaemon *daemon = policy->daemon();
-    if (injector) {
-        for (unsigned i = 0; i < world.nicCount(); ++i)
-            injector->addNic(world.nic(i));
-        injector->setRegistry(&world.registry());
-        injector->arm(engine, platform);
-    }
+    core::IatDaemon *daemon =
+        host.start(kind, benchParams(), nullptr, hardening, effective)
+            .daemon();
+    const fault::FaultInjector *injector = host.injector();
 
     // Intent-vs-hardware drift, sampled at plateau checkpoints: a
     // mid-run divergence repaired later is still a misallocation the
@@ -243,7 +215,7 @@ chaosRunCase(core::PolicyKind kind, const fault::FaultPlan &plan,
     for (const auto flows : fig09FlowPlateaus()) {
         world.setFlows(flows);
         engine.run(0.05 * scale); // settle at the new population
-        world.resetStats();
+        world.resetWindow();
         const double window = 0.03 * scale;
         engine.run(window);
         tx_total += static_cast<double>(world.txPackets());

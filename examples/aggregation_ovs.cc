@@ -16,6 +16,7 @@
 
 #include "core/daemon.hh"
 #include "scenarios/agg_testpmd.hh"
+#include "scenarios/host.hh"
 #include "util/cli.hh"
 
 int
@@ -25,22 +26,22 @@ main(int argc, char **argv)
     const CliArgs args(argc, argv);
     const double seconds = args.getDouble("seconds", 0.2);
 
+    // One host: the platform, the switch-and-containers world, and
+    // the IAT daemon ticking every 5 ms from t=0.
     sim::PlatformConfig pc;
     pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
+    scenarios::Host host(pc);
+    sim::Platform &platform = host.platform();
+    sim::Engine &engine = host.engine();
 
     scenarios::AggTestPmdConfig cfg;
     cfg.frame_bytes = 64;
-    scenarios::AggTestPmdWorld world(platform, cfg);
-    world.attach(engine);
+    auto &world = host.emplace<scenarios::AggTestPmdWorld>(cfg);
 
     core::IatParams params;
     params.interval_seconds = 5e-3;
-    core::IatDaemon daemon(platform.pqos(), world.registry(), params,
-                           core::TenantModel::Aggregation);
-    engine.addPeriodic(params.interval_seconds,
-                       [&](double now) { daemon.tick(now); }, 0.0);
+    const core::IatDaemon &daemon =
+        *host.start(core::PolicyKind::Iat, params).daemon();
 
     // Double the packet size every eighth of the run (the paper's
     // Fig 8 procedure).

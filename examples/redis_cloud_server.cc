@@ -15,6 +15,7 @@
 
 #include "core/daemon.hh"
 #include "scenarios/corun.hh"
+#include "scenarios/host.hh"
 #include "util/cli.hh"
 
 namespace {
@@ -34,40 +35,32 @@ runOnce(bool with_iat, const std::string &app, char mix,
 {
     sim::PlatformConfig pc;
     pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
+    scenarios::Host host(pc);
 
     scenarios::CorunConfig cfg;
     cfg.net_app = scenarios::CorunConfig::NetApp::Redis;
     cfg.pc_app = app;
     cfg.redis_mix = mix;
-    scenarios::CorunWorld world(platform, cfg);
-    world.attach(engine);
+    auto &world = host.emplace<scenarios::CorunWorld>(cfg);
 
-    std::unique_ptr<core::IatDaemon> daemon;
     if (with_iat) {
         core::IatParams params;
         params.interval_seconds = 5e-3;
-        daemon = std::make_unique<core::IatDaemon>(
-            platform.pqos(), world.registry(), params,
-            core::TenantModel::Aggregation);
-        daemon->setTenantTuningEnabled(false); // paper SS VI-C
-        engine.addPeriodic(params.interval_seconds,
-                           [&](double now) { daemon->tick(now); },
-                           0.0);
+        core::Policy &policy = host.start(core::PolicyKind::Iat, params);
+        policy.daemon()->setTenantTuningEnabled(false); // paper SS VI-C
     } else {
         // Hostile placement: the PC app lands on DDIO's ways.
         world.applyDeterministicPlacement(1);
     }
 
-    engine.run(0.05 * scale);
+    host.engine().run(0.05 * scale);
     world.resetWindow();
     const double window = 0.08 * scale;
-    engine.run(window);
+    host.engine().run(window);
 
     Result r;
-    r.redis_kops = world.redisResponses() / window / 1e3;
-    r.redis_p99_us = world.redisLatency().percentile(0.99) * 1e6;
+    r.redis_kops = world.delivered() / window / 1e3;
+    r.redis_p99_us = world.latency().percentile(0.99) * 1e6;
     r.pc_progress = static_cast<double>(world.pcAppProgress());
     return r;
 }

@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "core/daemon.hh"
-#include "core/policy.hh"
+#include "scenarios/host.hh"
 #include "scenarios/slicing_pmd_xmem.hh"
 #include "util/cli.hh"
 #include "util/units.hh"
@@ -29,29 +29,23 @@ runOnce(bool with_iat, double scale)
 {
     sim::PlatformConfig pc;
     pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
+    scenarios::Host host(pc);
+    sim::Platform &platform = host.platform();
+    sim::Engine &engine = host.engine();
 
     scenarios::SlicingPmdXmemConfig cfg;
     cfg.frame_bytes = 1500;
-    scenarios::SlicingPmdXmemWorld world(platform, cfg);
-    world.attach(engine);
+    auto &world = host.emplace<scenarios::SlicingPmdXmemWorld>(cfg);
 
-    std::unique_ptr<core::IatDaemon> daemon;
+    // Static CAT is the paper's baseline; IAT runs with DDIO tuning
+    // off (paper footnote 3) so the shuffle is all that acts.
     core::IatParams params;
     params.interval_seconds = 5e-3;
-    if (with_iat) {
-        daemon = std::make_unique<core::IatDaemon>(
-            platform.pqos(), world.registry(), params,
-            core::TenantModel::Slicing);
-        daemon->setDdioTuningEnabled(false); // paper footnote 3
-        engine.addPeriodic(params.interval_seconds,
-                           [&](double now) { daemon->tick(now); },
-                           0.0);
-    } else {
-        // Static CAT, the paper's baseline.
-        core::applyStaticLayout(platform.pqos(), world.registry());
-    }
+    const core::IatDaemon *daemon =
+        host.start(with_iat ? core::PolicyKind::IatNoDdio
+                            : core::PolicyKind::Static,
+                   params)
+            .daemon();
 
     engine.at(0.05 * scale,
               [&](double) { world.growXmem4(10 * MiB); });

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "fault/injector.hh"
 #include "util/logging.hh"
 
 namespace iat::cluster {
@@ -162,14 +161,15 @@ ShardHost::BatchRunnable::runQuantum(double t_start, double dt)
 ShardHost::ShardHost(unsigned id, unsigned num_shards,
                      const ShardConfig &cfg)
     : id_(id), num_shards_(num_shards), cfg_(cfg),
-      platform_([&] {
+      machine_([&] {
           sim::PlatformConfig pc;
           pc.num_cores = 2 + cfg.containers + 1 + cfg.batch_slots;
           pc.llc_approx = cfg.llc_approx;
           pc.dram.peak_bandwidth_bytes_per_s = cfg.dram_gbps * 1e9;
           return pc;
       }()),
-      engine_(platform_), sink_(*this), batch_(*this)
+      platform_(machine_.platform()), engine_(machine_.engine()),
+      sink_(*this), batch_(*this)
 {
     IAT_ASSERT(num_shards >= 1, "world needs at least one shard");
     IAT_ASSERT(id < num_shards, "shard id out of range");
@@ -187,8 +187,7 @@ ShardHost::ShardHost(unsigned id, unsigned num_shards,
     world_cfg.max_flows = std::max<std::uint64_t>(cfg.flows, 1024);
     world_cfg.ring_entries = cfg.ring_entries;
     world_cfg.seed = cfg.seed + std::uint64_t{1000} * id;
-    world_ = std::make_unique<scenarios::AggTestPmdWorld>(platform_,
-                                                          world_cfg);
+    world_ = &machine_.emplace<scenarios::AggTestPmdWorld>(world_cfg);
 
     // Fabric port: device 2 (the agg world owns devices 0 and 1).
     // Its own generator is idle -- the port is never a pipeline
@@ -226,13 +225,6 @@ ShardHost::ShardHost(unsigned id, unsigned num_shards,
     sink_state_ = platform_.addressSpace().alloc(
         cfg.sink_state_bytes, "fabric-state");
 
-    core::IatParams params;
-    params.interval_seconds = cfg.daemon_interval;
-    policy_ = core::makePolicy(core::PolicyKind::Iat, platform_.pqos(),
-                               world_->registry(), params,
-                               core::TenantModel::Aggregation);
-
-    world_->attach(engine_);
     if (num_shards >= 2 && cfg.remote_rate_pps > 0.0) {
         net::TrafficConfig remote;
         remote.rate_pps = cfg.remote_rate_pps;
@@ -245,7 +237,9 @@ ShardHost::ShardHost(unsigned id, unsigned num_shards,
     engine_.add(&sink_);
     engine_.add(&batch_);
 
-    fault::attachPolicy(engine_, *policy_, cfg.daemon_interval);
+    core::IatParams params;
+    params.interval_seconds = cfg.daemon_interval;
+    machine_.start(core::PolicyKind::Iat, params);
 
     telemetry_ =
         std::make_unique<sim::PlatformTelemetry>(platform_, metrics_);
@@ -425,7 +419,7 @@ ShardHost::digest() const
                                            host_lat_.count()))
        << " host.lat.p99=" << fmtExact(host_lat_.percentile(0.99));
 
-    const core::IatDaemon &d = *policy_->daemon();
+    const core::IatDaemon &d = *machine_.policy()->daemon();
     os << " daemon.ticks=" << d.ticks()
        << " daemon.stable=" << d.stableTicks()
        << " daemon.shuffles=" << d.shuffles()

@@ -36,6 +36,7 @@
 #include "obs/metrics.hh"
 #include "obs/stream/record.hh"
 #include "scenarios/agg_testpmd.hh"
+#include "scenarios/host.hh"
 #include "sim/engine.hh"
 #include "sim/platform.hh"
 #include "sim/telemetry.hh"
@@ -145,7 +146,7 @@ class ShardHost
     sim::Platform &platform() { return platform_; }
     sim::Engine &engine() { return engine_; }
     scenarios::AggTestPmdWorld &world() { return *world_; }
-    core::IatDaemon &daemon() { return *policy_->daemon(); }
+    core::IatDaemon &daemon() { return *machine_.policy()->daemon(); }
     net::NicQueue &fabricNic() { return *fabric_nic_; }
     obs::MetricsRegistry &metrics() { return metrics_; }
     const ShardConfig &config() const { return cfg_; }
@@ -230,11 +231,11 @@ class ShardHost
     unsigned num_shards_;
     ShardConfig cfg_;
 
-    sim::Platform platform_;
-    sim::Engine engine_;
-    std::unique_ptr<scenarios::AggTestPmdWorld> world_;
+    scenarios::Host machine_; ///< world + the IAT daemon
+    sim::Platform &platform_; ///< machine_'s
+    sim::Engine &engine_;     ///< machine_'s
+    scenarios::AggTestPmdWorld *world_ = nullptr; ///< machine_'s
     std::unique_ptr<net::NicQueue> fabric_nic_;
-    std::unique_ptr<core::Policy> policy_; ///< always the IAT daemon
 
     std::unique_ptr<FabricSource> source_; ///< null without egress
     FabricSink sink_;

@@ -132,17 +132,6 @@ AggTestPmdWorld::setFrameBytes(std::uint32_t bytes)
 }
 
 void
-AggTestPmdWorld::setRate(double rate_pps)
-{
-    cfg_.rate_pps = rate_pps;
-    for (auto &nic : nics_) {
-        nic->setRate(rate_pps > 0.0
-                         ? rate_pps
-                         : net::lineRatePps40G(cfg_.frame_bytes));
-    }
-}
-
-void
 AggTestPmdWorld::setFlows(std::uint64_t flows)
 {
     cfg_.flows = flows;
@@ -184,7 +173,7 @@ AggTestPmdWorld::totalDrops() const
 }
 
 void
-AggTestPmdWorld::resetStats()
+AggTestPmdWorld::resetWindow()
 {
     for (auto &nic : nics_)
         nic->resetStats();
@@ -202,6 +191,24 @@ AggTestPmdWorld::setTenantActive(std::size_t t, bool active)
     }
     if (t - 1 < nics_.size())
         nics_[t - 1]->setActive(active);
+}
+
+std::vector<net::NicQueue *>
+AggTestPmdWorld::faultNics()
+{
+    std::vector<net::NicQueue *> out;
+    for (auto &nic : nics_)
+        out.push_back(nic.get());
+    return out;
+}
+
+LatencyHistogram
+AggTestPmdWorld::latency() const
+{
+    LatencyHistogram merged;
+    for (const auto &nic : nics_)
+        merged.merge(nic->latency());
+    return merged;
 }
 
 } // namespace iat::scenarios

@@ -16,9 +16,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/tenant.hh"
-#include "net/pipeline.hh"
-#include "sim/engine.hh"
+#include "scenarios/world.hh"
 #include "wl/handlers.hh"
 
 namespace iat::scenarios {
@@ -42,27 +40,31 @@ struct AggTestPmdConfig
 };
 
 /** Assembled world; owns every component. */
-class AggTestPmdWorld
+class AggTestPmdWorld final : public World
 {
   public:
     AggTestPmdWorld(sim::Platform &platform,
                     const AggTestPmdConfig &cfg);
 
     /** Register the pipeline with the engine. */
-    void attach(sim::Engine &engine);
+    void attach(sim::Engine &engine) override;
 
     /** IAT tenant records: OVS (stack) + containers. */
-    core::TenantRegistry &registry() { return registry_; }
+    core::TenantRegistry &registry() override { return registry_; }
 
-    /** The packet pipeline, for telemetry attachment; may be null
-     *  before attach(). */
-    net::PacketPipeline *pipeline() { return pipeline_.get(); }
+    net::PacketPipeline *pipeline() override
+    {
+        return pipeline_.get();
+    }
+
+    /** OVS switches for every container. */
+    core::TenantModel model() const override
+    {
+        return core::TenantModel::Aggregation;
+    }
 
     /** Change the generated frame size on both NICs (Fig 8). */
     void setFrameBytes(std::uint32_t bytes);
-
-    /** Retarget both NICs; 0 = line rate for the current frame. */
-    void setRate(double rate_pps);
 
     /** Grow/shrink the flow population on both NICs (Fig 9 ramp). */
     void setFlows(std::uint64_t flows);
@@ -82,15 +84,24 @@ class AggTestPmdWorld
     /** Frames lost anywhere (MAC drops, ring/pool overflow). */
     std::uint64_t totalDrops() const;
 
-    /** Clear NIC counters/latency for a measurement window. */
-    void resetStats();
+    /** Clear NIC and OVS-stage counters and NIC latency. */
+    void resetWindow() override;
 
     /**
      * Pause/resume the traffic driving tenant @p t (fairness solo
      * runs). Tenant 0 is the OVS stack -- pausing it stops every
      * NIC; container i (tenant i+1) maps to NIC i's generator.
      */
-    void setTenantActive(std::size_t t, bool active);
+    void setTenantActive(std::size_t t, bool active) override;
+
+    /** Both physical NICs. */
+    std::vector<net::NicQueue *> faultNics() override;
+
+    /** txPackets(). */
+    std::uint64_t delivered() const override { return txPackets(); }
+
+    /** Both NICs' latency, merged. */
+    LatencyHistogram latency() const override;
 
     /** OVS poll-thread stages (for IPC/CPP accounting). */
     const std::vector<net::Stage *> &ovsStages() const

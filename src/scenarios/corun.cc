@@ -217,33 +217,6 @@ CorunWorld::attach(sim::Engine &engine)
 }
 
 void
-CorunWorld::applyBaselinePlacement(Rng &rng)
-{
-    auto &pqos = platform_.pqos();
-
-    // Networking group: ways 0-2 (explicitly no DDIO overlap).
-    pqos.l3caSet(1, cache::WayMask::fromRange(0, 3));
-    for (const auto core : registry_[kTenantNet].cores)
-        pqos.allocAssocSet(core, 1);
-    pqos.monStart(registry_[kTenantNet].cores, 1);
-
-    // Non-networking tenants: random distinct 2-way slots among
-    // {3-4, 5-6, 7-8, 9-10}.
-    std::vector<unsigned> slots = {3, 5, 7, 9};
-    for (std::size_t i = slots.size(); i > 1; --i)
-        std::swap(slots[i - 1], slots[rng.below(i)]);
-    for (std::size_t t = 1; t < registry_.size(); ++t) {
-        const auto clos = static_cast<cache::ClosId>(t + 1);
-        pqos.l3caSet(clos, cache::WayMask::fromRange(
-                               slots[t - 1], 2));
-        for (const auto core : registry_[t].cores)
-            pqos.allocAssocSet(core, clos);
-        pqos.monStart(registry_[t].cores,
-                      static_cast<cache::RmidId>(t + 1));
-    }
-}
-
-void
 CorunWorld::applyDeterministicPlacement(int variant)
 {
     IAT_ASSERT(variant >= 0 && variant <= 2,
@@ -323,8 +296,16 @@ CorunWorld::pcAppProgress() const
     return now - pc_progress_base_;
 }
 
+core::TenantModel
+CorunWorld::model() const
+{
+    return cfg_.net_app == CorunConfig::NetApp::Redis
+               ? core::TenantModel::Aggregation
+               : core::TenantModel::Slicing;
+}
+
 LatencyHistogram
-CorunWorld::redisLatency() const
+CorunWorld::latency() const
 {
     LatencyHistogram merged;
     for (const auto &nic : nics_)
@@ -342,8 +323,10 @@ CorunWorld::redisResponses() const
 }
 
 std::uint64_t
-CorunWorld::nfvForwarded() const
+CorunWorld::delivered() const
 {
+    if (cfg_.net_app == CorunConfig::NetApp::Redis)
+        return redisResponses();
     std::uint64_t total = 0;
     for (const auto &nic : nics_)
         total += nic->txStats().tx_packets;

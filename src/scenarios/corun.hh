@@ -13,11 +13,12 @@
  * SPEC2006 profile or the RocksDB model under a YCSB mix, plus two
  * BE X-Mem containers (1 MB and 10 MB working sets).
  *
- * The baseline randomizes the placement of the three non-networking
- * containers over the free way slots -- sometimes landing on DDIO's
- * ways, which is precisely the spread Figs 12-14 report -- while IAT
- * runs use the daemon (with tenant way tuning disabled, as in the
- * paper).
+ * The paper's baseline places the three non-networking containers
+ * randomly over the free way slots -- sometimes landing on DDIO's
+ * ways, which is precisely the spread Figs 12-14 report; the model
+ * evaluates the three canonical placements that bound that band.
+ * IAT runs use the daemon (with tenant way tuning disabled, as in
+ * the paper).
  */
 
 #ifndef IATSIM_SCENARIOS_CORUN_HH
@@ -27,10 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "core/tenant.hh"
-#include "net/pipeline.hh"
-#include "sim/engine.hh"
-#include "util/rng.hh"
+#include "scenarios/world.hh"
 #include "wl/handlers.hh"
 #include "wl/kvstore.hh"
 #include "wl/spec.hh"
@@ -65,7 +63,7 @@ struct CorunConfig
 
 /** Assembled co-run world; tenant 0 = networking group, 1 = PC app,
  *  2 = BE X-Mem 1MB, 3 = BE X-Mem 10MB. */
-class CorunWorld
+class CorunWorld final : public World
 {
   public:
     static constexpr std::size_t kTenantNet = 0;
@@ -75,24 +73,27 @@ class CorunWorld
 
     CorunWorld(sim::Platform &platform, const CorunConfig &cfg);
 
-    void attach(sim::Engine &engine);
+    void attach(sim::Engine &engine) override;
 
-    core::TenantRegistry &registry() { return registry_; }
+    core::TenantRegistry &registry() override { return registry_; }
 
-    /** The packet pipeline, for telemetry attachment; may be null
-     *  before attach(). */
-    net::PacketPipeline *pipeline() { return pipeline_.get(); }
+    net::PacketPipeline *pipeline() override
+    {
+        return pipeline_.get();
+    }
+
+    /** Redis sits behind an OVS-style switch (Aggregation); each
+     *  NFV chain owns its VF (Slicing). */
+    core::TenantModel model() const override;
+
+    /** None: the co-run NICs stay private, so link-flap and
+     *  ring-stall faults do not apply here. */
+    std::vector<net::NicQueue *> faultNics() override { return {}; }
 
     /**
      * Baseline placement: networking group on ways 0-2, the three
-     * non-networking tenants on a random permutation of the 2-way
-     * slots {3-4, 5-6, 7-8, 9-10} (one slot stays empty; a tenant
-     * landing on 9-10 overlaps DDIO).
-     */
-    void applyBaselinePlacement(Rng &rng);
-
-    /**
-     * Canonical baseline placements spanning the paper's min-max
+     * non-networking tenants on three of the 2-way slots {3-4, 5-6,
+     * 7-8, 9-10}. The canonical variants span the paper's min-max
      * band: 0 = nobody on DDIO's ways (the empty slot lands on
      * 9-10), 1 = the PC app on DDIO's ways, 2 = the 10MB BE X-Mem
      * on DDIO's ways.
@@ -108,7 +109,7 @@ class CorunWorld
      * 0 = the networking group's NICs, 1 = the PC app, 2/3 = the BE
      * X-Mems.
      */
-    void setTenantActive(std::size_t t, bool active);
+    void setTenantActive(std::size_t t, bool active) override;
 
     /// @name Measurement accessors
     /// @{
@@ -120,17 +121,18 @@ class CorunWorld
     /** RocksDB model, when pc_app == "rocksdb"; else nullptr. */
     wl::KvStoreWorkload *rocksdb() { return rocksdb_.get(); }
 
-    /** Merged client-observed latency histogram (Redis mode). */
-    LatencyHistogram redisLatency() const;
+    /** Merged client-observed latency of every NIC. */
+    LatencyHistogram latency() const override;
 
     /** Responses transmitted since the last reset (Redis mode). */
     std::uint64_t redisResponses() const;
 
-    /** NFV frames forwarded since the last reset (NFV mode). */
-    std::uint64_t nfvForwarded() const;
+    /** redisResponses() (Redis), or NFV frames forwarded since the
+     *  last reset (NFV). */
+    std::uint64_t delivered() const override;
 
     /** Clear the measurement window across all components. */
-    void resetWindow();
+    void resetWindow() override;
     /// @}
 
     const CorunConfig &config() const { return cfg_; }

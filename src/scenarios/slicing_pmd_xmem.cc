@@ -79,17 +79,6 @@ SlicingPmdXmemWorld::attach(sim::Engine &engine)
 }
 
 void
-SlicingPmdXmemWorld::setFrameBytes(std::uint32_t bytes)
-{
-    cfg_.frame_bytes = bytes;
-    for (auto &vf : vfs_) {
-        vf->setFrameBytes(bytes);
-        if (cfg_.rate_pps <= 0.0)
-            vf->setRate(net::lineRatePps40G(bytes));
-    }
-}
-
-void
 SlicingPmdXmemWorld::setTenantActive(std::size_t t, bool active)
 {
     if (t == kTenantPmd) {
@@ -99,6 +88,40 @@ SlicingPmdXmemWorld::setTenantActive(std::size_t t, bool active)
     }
     if (t - 1 < xmems_.size())
         xmems_[t - 1]->setActive(active);
+}
+
+void
+SlicingPmdXmemWorld::resetWindow()
+{
+    for (auto &vf : vfs_)
+        vf->resetStats();
+}
+
+std::vector<net::NicQueue *>
+SlicingPmdXmemWorld::faultNics()
+{
+    std::vector<net::NicQueue *> out;
+    for (auto &vf : vfs_)
+        out.push_back(vf.get());
+    return out;
+}
+
+std::uint64_t
+SlicingPmdXmemWorld::delivered() const
+{
+    std::uint64_t total = 0;
+    for (const auto &vf : vfs_)
+        total += vf->txStats().tx_packets;
+    return total;
+}
+
+LatencyHistogram
+SlicingPmdXmemWorld::latency() const
+{
+    LatencyHistogram merged;
+    for (const auto &vf : vfs_)
+        merged.merge(vf->latency());
+    return merged;
 }
 
 } // namespace iat::scenarios

@@ -16,9 +16,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/tenant.hh"
-#include "net/pipeline.hh"
-#include "sim/engine.hh"
+#include "scenarios/world.hh"
 #include "wl/handlers.hh"
 #include "wl/xmem.hh"
 
@@ -37,7 +35,7 @@ struct SlicingPmdXmemConfig
 };
 
 /** Assembled world; tenant indices: 0=pmd pair, 1..3=xmem 2..4. */
-class SlicingPmdXmemWorld
+class SlicingPmdXmemWorld final : public World
 {
   public:
     static constexpr std::size_t kTenantPmd = 0;
@@ -48,13 +46,20 @@ class SlicingPmdXmemWorld
     SlicingPmdXmemWorld(sim::Platform &platform,
                         const SlicingPmdXmemConfig &cfg);
 
-    void attach(sim::Engine &engine);
+    void attach(sim::Engine &engine) override;
 
-    core::TenantRegistry &registry() { return registry_; }
+    core::TenantRegistry &registry() override { return registry_; }
 
-    /** The packet pipeline, for telemetry attachment; may be null
-     *  before attach(). */
-    net::PacketPipeline *pipeline() { return pipeline_.get(); }
+    net::PacketPipeline *pipeline() override
+    {
+        return pipeline_.get();
+    }
+
+    /** Every tenant owns its VF or its cores outright. */
+    core::TenantModel model() const override
+    {
+        return core::TenantModel::Slicing;
+    }
 
     /** X-Mem of container 2/3/4 via index 0/1/2. */
     wl::XMemWorkload &xmem(unsigned i) { return *xmems_[i]; }
@@ -71,14 +76,19 @@ class SlicingPmdXmemWorld
      * tenant 0 pauses both VF generators, tenants 1-3 pause the
      * corresponding X-Mem.
      */
-    void setTenantActive(std::size_t t, bool active);
+    void setTenantActive(std::size_t t, bool active) override;
 
-    net::NicQueue &vf(unsigned i) { return *vfs_[i]; }
-    unsigned vfCount() const
-    {
-        return static_cast<unsigned>(vfs_.size());
-    }
-    void setFrameBytes(std::uint32_t bytes);
+    /** Clear both VFs' counters and latency. */
+    void resetWindow() override;
+
+    /** Both VFs. */
+    std::vector<net::NicQueue *> faultNics() override;
+
+    /** Frames transmitted on both VFs. */
+    std::uint64_t delivered() const override;
+
+    /** Both VFs' latency, merged. */
+    LatencyHistogram latency() const override;
 
     const SlicingPmdXmemConfig &config() const { return cfg_; }
 

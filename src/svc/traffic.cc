@@ -45,6 +45,14 @@ SyntheticTraffic::setRate(double rate)
 }
 
 void
+SyntheticTraffic::setTenantActive(std::size_t t, bool active)
+{
+    if (t >= paused_.size())
+        paused_.resize(t + 1, false);
+    paused_[t] = !active;
+}
+
+void
 SyntheticTraffic::runQuantum(double /*t_start*/, double /*dt*/)
 {
     ++quantum_index_;
@@ -72,6 +80,8 @@ SyntheticTraffic::runQuantum(double /*t_start*/, double /*dt*/)
     const std::uint64_t reads_n = scaled(kReadsPerCorePerQuantum);
     const std::uint64_t num_cores = platform_.config().num_cores;
     for (std::size_t t = 0; t < registry_.size(); ++t) {
+        if (t < paused_.size() && paused_[t])
+            continue;
         const core::TenantSpec &spec = registry_[t];
         const cache::Addr base =
             kTenantBase +
@@ -106,6 +116,13 @@ SyntheticTraffic::runQuantum(double /*t_start*/, double /*dt*/)
             platform_.retire(core, reads_n * kInstrPerRead);
         }
     }
+}
+
+TenantFileWorld::TenantFileWorld(sim::Platform &platform,
+                                 const std::string &path)
+    : traffic_(platform, registry_)
+{
+    registry_.loadFromFile(path);
 }
 
 } // namespace iat::svc

@@ -19,14 +19,21 @@
  * control socket's `set-traffic` command; the traffic generator
  * re-reads the registry every quantum, so tenants attached or
  * detached mid-run are picked up immediately.
+ *
+ * TenantFileWorld packages an affiliation file and this load as a
+ * scenarios::World, so `iatctl run --tenants` runs on a Host like
+ * every paper scenario.
  */
 
 #ifndef IATSIM_SVC_TRAFFIC_HH
 #define IATSIM_SVC_TRAFFIC_HH
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/tenant.hh"
+#include "scenarios/world.hh"
 #include "sim/engine.hh"
 
 namespace iat::obs {
@@ -49,6 +56,10 @@ class SyntheticTraffic final : public sim::Runnable
     void setRate(double rate);
     double rate() const { return rate_; }
 
+    /** Pause/resume tenant @p t's core reads; the DMA burst keeps
+     *  running, as a NIC would. */
+    void setTenantActive(std::size_t t, bool active);
+
     /** Record each core access latency here (may be nullptr). */
     void setLatencyHistogram(obs::Histogram *histogram)
     {
@@ -69,6 +80,48 @@ class SyntheticTraffic final : public sim::Runnable
 
     std::uint64_t dma_lines_ = 0;
     std::uint64_t core_reads_ = 0;
+    std::vector<bool> paused_; ///< by tenant index
+};
+
+/** An affiliation file's tenants under SyntheticTraffic at rate 1. */
+class TenantFileWorld final : public scenarios::World
+{
+  public:
+    /** Load the tenants from @p path; a missing or malformed file
+     *  is fatal, as for every tenant-file reader. */
+    TenantFileWorld(sim::Platform &platform, const std::string &path);
+
+    void attach(sim::Engine &engine) override { engine.add(&traffic_); }
+    core::TenantRegistry &registry() override { return registry_; }
+    net::PacketPipeline *pipeline() override { return nullptr; }
+
+    /** Tenant files describe tenants that own their cores and
+     *  devices, the model iatsvc runs them under. */
+    core::TenantModel model() const override
+    {
+        return core::TenantModel::Slicing;
+    }
+
+    void setTenantActive(std::size_t t, bool active) override
+    {
+        traffic_.setTenantActive(t, active);
+    }
+    void resetWindow() override { dma_base_ = traffic_.dmaLines(); }
+    std::vector<net::NicQueue *> faultNics() override { return {}; }
+
+    /** DMA lines written since the last resetWindow(). */
+    std::uint64_t delivered() const override
+    {
+        return traffic_.dmaLines() - dma_base_;
+    }
+
+    /** Empty: synthetic load has no clients. */
+    LatencyHistogram latency() const override { return {}; }
+
+  private:
+    core::TenantRegistry registry_;
+    SyntheticTraffic traffic_;
+    std::uint64_t dma_base_ = 0;
 };
 
 } // namespace iat::svc

@@ -99,7 +99,7 @@ TEST(LatentContenderIntegration, IatShufflesPcAwayFromDdio)
     core::IatParams params;
     params.interval_seconds = 5e-3;
     core::IatDaemon daemon(platform.pqos(), world.registry(),
-                           params, core::TenantModel::Slicing);
+                           params, world.model());
     // Paper footnote 3: the Latent-Contender experiment disables
     // IAT's DDIO way tuning to isolate the shuffling mechanism.
     daemon.setDdioTuningEnabled(false);

@@ -51,7 +51,7 @@ runWorld(bool with_iat, std::uint32_t frame_bytes)
     if (with_iat) {
         daemon = std::make_unique<core::IatDaemon>(
             platform.pqos(), world.registry(), params,
-            core::TenantModel::Aggregation);
+            world.model());
         engine.addPeriodic(params.interval_seconds,
                            [&](double now) { daemon->tick(now); },
                            0.0);
@@ -60,7 +60,7 @@ runWorld(bool with_iat, std::uint32_t frame_bytes)
     }
 
     engine.run(0.06); // warm up and let the daemon settle
-    world.resetStats();
+    world.resetWindow();
     const auto ddio0 = platform.pqos().ddioPollExact();
     const auto dram0 =
         platform.dram().counters().totalReadBytes() +

@@ -9,9 +9,9 @@
  *          [--seconds=0.2] [--frame=1500] [--tenants=<file>]
  *       Build one of the canonical experiment worlds, run it under
  *       the chosen policy and print a per-interval report plus a
- *       final summary. With --tenants, agg/slicing worlds are
- *       replaced by a bare platform driven by the affiliation file
- *       (cores/priorities/io flags), with synthetic DDIO traffic.
+ *       final summary. With --tenants, the scenario is replaced by
+ *       the affiliation file's tenants (cores/priorities/io flags)
+ *       under svc::SyntheticTraffic, the bounded load iatsvc runs.
  *
  *   iatctl fsm <miss_rate,d_miss,d_hit,d_refs> ...
  *       Feed a sequence of poll observations straight into the
@@ -45,10 +45,11 @@
 #include "obs/telemetry.hh"
 #include "scenarios/agg_testpmd.hh"
 #include "scenarios/corun.hh"
+#include "scenarios/host.hh"
 #include "scenarios/slicing_pmd_xmem.hh"
 #include "sim/stats_report.hh"
-#include "sim/telemetry.hh"
 #include "svc/client.hh"
+#include "svc/traffic.hh"
 #include "util/cli.hh"
 
 namespace {
@@ -121,118 +122,48 @@ cmdRun(const CliArgs &args)
 
     sim::PlatformConfig pc;
     pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
+    scenarios::Host host(pc);
+    sim::Platform &platform = host.platform();
+    sim::Engine &engine = host.engine();
+
+    // Assemble the world.
+    if (!tenant_file.empty()) {
+        host.emplace<svc::TenantFileWorld>(tenant_file);
+    } else if (scenario == "agg") {
+        scenarios::AggTestPmdConfig cfg;
+        cfg.frame_bytes = frame;
+        host.emplace<scenarios::AggTestPmdWorld>(cfg);
+    } else if (scenario == "slicing") {
+        scenarios::SlicingPmdXmemConfig cfg;
+        cfg.frame_bytes = frame;
+        host.emplace<scenarios::SlicingPmdXmemWorld>(cfg);
+    } else if (scenario == "corun") {
+        scenarios::CorunConfig cfg;
+        cfg.pc_app = args.getString("app", "mcf");
+        host.emplace<scenarios::CorunWorld>(cfg);
+    } else {
+        fatal("unknown scenario '%s' (agg|slicing|corun)",
+              scenario.c_str());
+    }
+    const core::TenantRegistry &registry = host.world().registry();
 
     core::IatParams params;
     params.interval_seconds = args.getDouble("interval", 5e-3);
 
     // Observability: --trace / --metrics / --sample-interval.
     auto telemetry = obs::makeTelemetry(args);
-    engine.attachTelemetry(telemetry.get());
 
     // Fault injection: the --fault-* flag family (README has the
     // table). No flags -> no injector, zero overhead.
     fault::FaultPlan fault_plan = fault::FaultPlan::fromCli(args);
     if (fault_plan.seed == 0)
         fault_plan.seed = 1; // CLI runs have no trial seed to defer to
-    const bool hardening = !args.getBool("no-hardening");
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (fault_plan.any()) {
-        injector = std::make_unique<fault::FaultInjector>(
-            fault_plan, telemetry.get());
-    }
 
-    // Assemble the world.
-    std::unique_ptr<scenarios::AggTestPmdWorld> agg;
-    std::unique_ptr<scenarios::SlicingPmdXmemWorld> slicing;
-    std::unique_ptr<scenarios::CorunWorld> corun;
-    core::TenantRegistry file_registry;
-    core::TenantRegistry *registry = nullptr;
-    core::TenantModel model = core::TenantModel::Slicing;
-
-    if (!tenant_file.empty()) {
-        file_registry.loadFromFile(tenant_file);
-        registry = &file_registry;
-    } else if (scenario == "agg") {
-        scenarios::AggTestPmdConfig cfg;
-        cfg.frame_bytes = frame;
-        agg = std::make_unique<scenarios::AggTestPmdWorld>(platform,
-                                                           cfg);
-        agg->attach(engine);
-        registry = &agg->registry();
-        model = core::TenantModel::Aggregation;
-    } else if (scenario == "slicing") {
-        scenarios::SlicingPmdXmemConfig cfg;
-        cfg.frame_bytes = frame;
-        slicing = std::make_unique<scenarios::SlicingPmdXmemWorld>(
-            platform, cfg);
-        slicing->attach(engine);
-        registry = &slicing->registry();
-    } else if (scenario == "corun") {
-        scenarios::CorunConfig cfg;
-        cfg.pc_app = args.getString("app", "mcf");
-        corun = std::make_unique<scenarios::CorunWorld>(platform,
-                                                        cfg);
-        corun->attach(engine);
-        registry = &corun->registry();
-        model = core::TenantModel::Aggregation;
-    } else {
-        fatal("unknown scenario '%s' (agg|slicing|corun)",
-              scenario.c_str());
-    }
-
-    // Attach the policy.
-    const auto policy =
-        core::makePolicy(kind, platform.pqos(), *registry, params,
-                         model, telemetry.get(), hardening);
-    fault::attachPolicy(engine, *policy, params.interval_seconds,
-                        injector.get());
-    core::IatDaemon *daemon = policy->daemon();
-
-    // Arm faults AFTER the policy attach so the daemon's t=0 setup
-    // tick runs before any MSR hook installs (the arm() contract).
-    if (injector) {
-        if (agg) {
-            for (unsigned i = 0; i < agg->nicCount(); ++i)
-                injector->addNic(agg->nic(i));
-        } else if (slicing) {
-            for (unsigned i = 0; i < slicing->vfCount(); ++i)
-                injector->addNic(slicing->vf(i));
-        }
-        // (corun keeps its NICs private; MSR, poll and churn faults
-        // still apply there.)
-        injector->setRegistry(registry);
-        injector->arm(engine, platform);
-    }
-
-    // Net-layer telemetry, from whichever world owns a pipeline.
-    if (telemetry) {
-        net::PacketPipeline *pipeline = nullptr;
-        if (agg)
-            pipeline = agg->pipeline();
-        else if (slicing)
-            pipeline = slicing->pipeline();
-        else if (corun)
-            pipeline = corun->pipeline();
-        if (pipeline)
-            pipeline->setTelemetry(telemetry.get());
-        // Platform gauges + sampler go in last so the first sample
-        // sees every registered metric; defaults to the daemon poll
-        // interval.
-        sim::installPlatformSampler(engine, platform, *telemetry,
-                                    params.interval_seconds);
-    }
-
-    // Synthetic traffic for tenant-file runs (no world attached).
-    std::uint64_t synth_lines = 2000;
-    if (!tenant_file.empty()) {
-        engine.addPeriodic(params.interval_seconds, [&](double) {
-            for (std::uint64_t i = 0; i < synth_lines; ++i)
-                platform.dmaWrite(0, (1ull << 30) + i * 64, 64);
-            synth_lines = synth_lines * 5 / 4;
-        });
-    }
+    core::IatDaemon *daemon =
+        host.start(kind, params, telemetry.get(),
+                   !args.getBool("no-hardening"), fault_plan)
+            .daemon();
+    const fault::FaultInjector *injector = host.injector();
 
     // Per-interval report.
     rdt::DdioCounters prev = platform.pqos().ddioPollExact();
@@ -261,15 +192,15 @@ cmdRun(const CliArgs &args)
 
     std::printf("\nfinal allocation:\n");
     const unsigned num_ways = platform.pqos().l3NumWays();
-    for (std::size_t t = 0; t < registry->size(); ++t) {
+    for (std::size_t t = 0; t < registry.size(); ++t) {
         std::printf("  %-12s %s  (%s, %s)\n",
-                    (*registry)[t].name.c_str(),
+                    registry[t].name.c_str(),
                     platform.pqos()
                         .l3caGet(static_cast<cache::ClosId>(t + 1))
                         .toString(num_ways)
                         .c_str(),
-                    toString((*registry)[t].priority),
-                    (*registry)[t].is_io ? "io" : "non-io");
+                    toString(registry[t].priority),
+                    registry[t].is_io ? "io" : "non-io");
     }
     std::printf("  %-12s %s\n", "DDIO",
                 platform.pqos().ddioGetWays().toString(num_ways)
