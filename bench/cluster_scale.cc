@@ -4,8 +4,9 @@
  * once with one worker thread (the reference interleaving) and once
  * with --threads workers (default: hardware concurrency), and
  * verifies the two digests are byte-identical -- the sharded world's
- * central contract (DESIGN.md SS15). Prints per-run wall time and
- * the parallel speedup.
+ * central contract (DESIGN.md SS15). Prints per-run wall time, the
+ * parallel speedup, and the host time the world spent in its
+ * parallel section and its serial barrier steps.
  *
  * Exit status: non-zero whenever the digests differ. The speedup
  * assertion (>= --min-speedup, default 1.5x) is enforced only when
@@ -71,8 +72,16 @@ makeConfig(const CliArgs &args)
     return cfg;
 }
 
-/** Run one world and return (digest, wall seconds). */
-std::pair<std::string, double>
+/** One world's digest and host times, seconds. */
+struct WorldRun
+{
+    std::string digest;
+    double wall = 0.0;
+    double parallel = 0.0; ///< step 2, the epoch pool
+    double serial = 0.0;   ///< the barrier steps
+};
+
+WorldRun
 runWorld(const cluster::ClusterConfig &base, unsigned threads,
          std::uint64_t epochs)
 {
@@ -83,7 +92,8 @@ runWorld(const cluster::ClusterConfig &base, unsigned threads,
     world.run(static_cast<double>(epochs) * cfg.epoch_seconds);
     const auto t1 = Clock::now();
     return {world.digest(),
-            std::chrono::duration<double>(t1 - t0).count()};
+            std::chrono::duration<double>(t1 - t0).count(),
+            world.parallelSeconds(), world.serialSeconds()};
 }
 
 } // namespace
@@ -119,8 +129,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(epochs), hw,
                 chaos ? ", chaos fault plan active" : "");
 
-    const auto [ref_digest, ref_wall] = runWorld(cfg, 1, epochs);
-    std::printf("  threads=1: %.2f s (reference)\n", ref_wall);
+    const WorldRun ref = runWorld(cfg, 1, epochs);
+    std::printf("  threads=1: %.2f s (reference; parallel %.2f s, "
+                "serial %.2f s)\n",
+                ref.wall, ref.parallel, ref.serial);
 
     // Thread counts to check against the single-thread reference.
     // Under --chaos the contract is explicitly 1/2/4 (plus whatever
@@ -140,13 +152,14 @@ main(int argc, char **argv)
 
     double speedup = 1.0;
     for (unsigned t : counts) {
-        const auto [par_digest, par_wall] =
-            runWorld(cfg, t, epochs);
+        const WorldRun par = runWorld(cfg, t, epochs);
         if (t == threads)
-            speedup = ref_wall / par_wall;
-        std::printf("  threads=%u: %.2f s (%.2fx)\n", t, par_wall,
-                    ref_wall / par_wall);
-        if (par_digest != ref_digest) {
+            speedup = ref.wall / par.wall;
+        std::printf("  threads=%u: %.2f s (%.2fx; parallel %.2f s, "
+                    "serial %.2f s)\n",
+                    t, par.wall, ref.wall / par.wall, par.parallel,
+                    par.serial);
+        if (par.digest != ref.digest) {
             std::printf("FAIL: digests differ between threads=1 "
                         "and threads=%u -- the epoch-barrier "
                         "protocol leaked a thread-order "
@@ -157,7 +170,7 @@ main(int argc, char **argv)
     }
     std::printf("  digests identical across %zu thread counts "
                 "(%zu bytes)\n",
-                counts.size() + 1, ref_digest.size());
+                counts.size() + 1, ref.digest.size());
 
     // Scaling gate: only meaningful where parallelism exists. A
     // 1-2 vCPU runner still checks bit-exactness above.

@@ -17,7 +17,7 @@
  *   fuzz_sim --trials=500                    # fixed trial count
  *   fuzz_sim --budget-seconds=60             # as many as fit in 60 s
  *   fuzz_sim --mode=approx --trials=600      # only approx-band trials
- *   fuzz_sim --mode=cluster --trials=8       # sharded-world 1-vs-2
+ *   fuzz_sim --mode=cluster --trials=8       # sharded-world 1-vs-N
  *                                            # thread determinism
  *   fuzz_sim --fsm-check --trials=100        # model check, then fuzz
  *   fuzz_sim --exp=experiments/chaos.exp     # world trials under the

@@ -667,7 +667,7 @@ registerValidationSweeps(exp::TrialRegistry &registry)
                  "ops, approx_k (0 = seed-derived)",
                  fuzzApproxSweepTrial);
     registry.add("fuzz_cluster",
-                 "sharded-world 1-vs-2 thread determinism trial; "
+                 "sharded-world 1-vs-N thread determinism trial; "
                  "param ops (epochs)",
                  fuzzClusterSweepTrial);
 }

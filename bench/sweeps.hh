@@ -230,7 +230,7 @@ void registerClusterSweeps(exp::TrialRegistry &registry);
  * Register the validation sweeps backing the fuzzer's repro files:
  * "fuzz_llc" (differential LLC trial, param `ops`), "fuzz_world"
  * (daemon world trial, param `ops` plus optional `fault.*` knobs)
- * and "fuzz_cluster" (sharded-world 1-vs-2 thread determinism,
+ * and "fuzz_cluster" (sharded-world 1-vs-N thread determinism,
  * param `ops` = epochs).
  * A trial throws on a mismatch, so the campaign runner records the
  * violation verbatim in the JSONL error field.

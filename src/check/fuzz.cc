@@ -727,6 +727,12 @@ clusterConfigFromSeed(std::uint64_t seed)
             plan.drop_duration = 10 + rng.below(20);
         }
     }
+
+    // The parallel run's executor count, drawn last so the world
+    // above is the same for a seed whatever T comes out: anywhere
+    // from 2 up to one executor per shard, so uneven claims (fewer
+    // executors than shards) are fuzzed as well as even ones.
+    cfg.threads = 2 + static_cast<unsigned>(rng.below(cfg.shards - 1));
     return cfg;
 }
 
@@ -786,18 +792,16 @@ fuzzClusterTrial(std::uint64_t seed, std::uint64_t epochs)
     const double seconds =
         static_cast<double>(epochs) * cfg.epoch_seconds;
 
-    // The single-threaded reference and the 2-thread run of the same
-    // configuration. Everything nondeterministic a threading bug
-    // could perturb -- counters, allocator masks, stream records,
+    // The single-threaded reference and the seed's T-thread run of
+    // the same configuration. Everything nondeterministic a threading
+    // bug could perturb -- counters, allocator masks, stream records,
     // migration history -- is folded into the digest.
     cluster::ClusterConfig ref_cfg = cfg;
     ref_cfg.threads = 1;
     cluster::ClusterWorld ref(ref_cfg);
     ref.run(seconds);
 
-    cluster::ClusterConfig par_cfg = cfg;
-    par_cfg.threads = 2;
-    cluster::ClusterWorld par(par_cfg);
+    cluster::ClusterWorld par(cfg);
     par.run(seconds);
 
     const auto ref_digest = ref.digest();
@@ -816,7 +820,8 @@ fuzzClusterTrial(std::uint64_t seed, std::uint64_t epochs)
                 : ref_digest.rfind('\n', pos) + 1;
         return prefixed(
             "cluster", epochs,
-            "1-thread vs 2-thread digest mismatch at byte " +
+            "1-thread vs " + std::to_string(cfg.threads) +
+                "-thread digest mismatch at byte " +
                 std::to_string(pos) + ": ref '" +
                 ref_digest.substr(line_start,
                                   std::min<std::size_t>(

@@ -26,8 +26,8 @@
  *    op counts must match exactly, figure metrics within epsilon.
  *
  *  - fuzzClusterTrial(): a seed-derived sharded multi-host world
- *    (cluster/world.hh) run on one worker thread and again on two,
- *    asserting the digests are bit-identical (the epoch-barrier
+ *    (cluster/world.hh) run on one thread and again on a
+ *    seed-derived 2..shards executors, asserting the digests are bit-identical (the epoch-barrier
  *    determinism contract) plus fabric-conservation and scheduler
  *    placement invariants.
  *
@@ -104,10 +104,10 @@ std::string fuzzApproxTrial(std::uint64_t seed, std::uint64_t ops,
 /**
  * One sharded-world trial: a seed-derived multi-host cluster (2-3
  * shards, cross-shard fabric traffic, a LoadAware scheduler) run for
- * @p epochs epochs twice -- once on one worker thread, once on two --
- * comparing the full cluster digests (the bit-exactness contract of
- * DESIGN.md SS15) and checking fabric conservation and scheduler
- * placement invariants. The trial is epoch-prefix-stable: a
+ * @p epochs epochs twice -- once on one thread, once on the seed's
+ * 2..shards executors -- comparing the full cluster digests (the
+ * bit-exactness contract of DESIGN.md SS15) and checking fabric
+ * conservation and scheduler placement invariants. The trial is epoch-prefix-stable: a
  * divergence first visible at epoch k reproduces in any run of >= k
  * epochs, so failures shrink like world failures do. Returns an
  * empty string on success, else the first violation.

@@ -6,6 +6,7 @@
 #include "cluster/world.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <thread>
@@ -38,6 +39,14 @@ resolveThreads(unsigned requested, unsigned shards)
     return std::clamp(t, 1u, shards);
 }
 
+using Clock = std::chrono::steady_clock;
+
+double
+secondsBetween(Clock::time_point a, Clock::time_point b)
+{
+    return std::chrono::duration<double>(b - a).count();
+}
+
 /** Flow-id namespace for migration state-transfer frames; keeps
  *  them distinct from tenant traffic in sink bookkeeping. */
 constexpr std::uint64_t kMigrationFlowBase = 0x4d19'0000ull;
@@ -57,6 +66,9 @@ ClusterWorld::ClusterWorld(const ClusterConfig &cfg)
             std::make_unique<ShardHost>(s, cfg.shards, cfg.shard));
     published_.assign(cfg.shards, 0);
     last_heartbeat_epoch_.assign(cfg.shards, 0);
+    cost_.assign(cfg.shards, 0.0);
+    if (threads_ > 1)
+        pool_ = std::make_unique<EpochPool>(threads_);
 
     // Faults are pay-for-what-you-use: an empty plan builds no
     // injector and leaves the fabric hook null.
@@ -98,7 +110,15 @@ ClusterWorld::run(double seconds)
 {
     const auto epochs = static_cast<std::uint64_t>(
         std::ceil(seconds / cfg_.epoch_seconds - 1e-9));
+    // Each executor times the shards it runs into cost_: host time
+    // only, read by the next epoch's claim order and by callers.
+    const std::function<void(unsigned)> run_shard = [this](unsigned s) {
+        const auto start = Clock::now();
+        shards_[s]->runEpoch(cfg_.epoch_seconds);
+        cost_[s] = secondsBetween(start, Clock::now());
+    };
     for (std::uint64_t e = 0; e < epochs; ++e) {
+        const auto serial_start = Clock::now();
         const double now =
             static_cast<double>(epoch_) * cfg_.epoch_seconds;
         if (injector_)
@@ -134,31 +154,28 @@ ClusterWorld::run(double seconds)
             }
         }
 
-        // 2. Run every scheduled shard's epoch; shard i on worker
-        // i % T, each worker walking its shards in increasing id.
-        // T = 1 runs inline -- the reference interleaving the
-        // threaded path must reproduce bit for bit. A skipped
-        // host's clock freezes: it re-joins behind cluster time and
-        // stays behind (the crash interval is simply lost to it).
-        if (threads_ == 1 || shards_.size() == 1) {
-            for (std::size_t s = 0; s < shards_.size(); ++s)
-                if (runs[s])
-                    shards_[s]->runEpoch(cfg_.epoch_seconds);
+        // 2. Run every scheduled shard's epoch. T = 1 runs inline in
+        // increasing id -- the reference interleaving the pool must
+        // reproduce bit for bit. Otherwise the pool's executors claim
+        // shards longest-last-epoch first, so the barrier waits on
+        // the slowest executor as little as the costs allow. A
+        // skipped host's clock freezes: it re-joins behind cluster
+        // time and stays behind (the crash interval is simply lost
+        // to it).
+        const auto parallel_start = Clock::now();
+        serial_seconds_ += secondsBetween(serial_start, parallel_start);
+        if (pool_) {
+            pool_->run(claimOrder(cost_, runs), run_shard);
         } else {
-            std::vector<std::thread> workers;
-            workers.reserve(threads_);
-            for (unsigned w = 0; w < threads_; ++w) {
-                workers.emplace_back([this, w, &runs] {
-                    for (std::size_t s = w; s < shards_.size();
-                         s += threads_)
-                        if (runs[s])
-                            shards_[s]->runEpoch(
-                                cfg_.epoch_seconds);
-                });
-            }
-            for (auto &worker : workers)
-                worker.join();
+            for (unsigned s = 0; s < shards_.size(); ++s)
+                if (runs[s])
+                    run_shard(s);
         }
+        for (std::size_t s = 0; s < shards_.size(); ++s)
+            if (!runs[s])
+                cost_[s] = 0.0;
+        const auto parallel_end = Clock::now();
+        parallel_seconds_ += secondsBetween(parallel_start, parallel_end);
 
         // 3. Route this epoch's departures, in shard-id order (the
         // fault hook drops/degrades here, same thread, same order).
@@ -219,6 +236,7 @@ ClusterWorld::run(double seconds)
             ages, scheduler_.migrations().size());
         for (const Migration &m : scheduler_.step(epoch_, status))
             beginMigration(m);
+        serial_seconds_ += secondsBetween(parallel_end, Clock::now());
     }
 }
 

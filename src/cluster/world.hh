@@ -10,10 +10,10 @@
  *      into its destination host's fabric NIC (injectRemote); frames
  *      due at a crashed host are discarded (and accounted) instead;
  *   2. parallel: each shard that the fault schedule says runs this
- *      epoch runs its engine on one of T worker threads (shard i on
- *      worker i % T, each worker stepping its shards in increasing
- *      id order); a crashed or frozen-out host's clock simply does
- *      not advance;
+ *      epoch runs its engine on one of T executors (an EpochPool:
+ *      the caller plus T - 1 persistent workers, claiming shards
+ *      longest-last-epoch first); a crashed or frozen-out host's
+ *      clock simply does not advance;
  *   3. barrier: collect every shard's outbox into the fabric, in
  *      shard-id order, stamping epoch-edge-aligned delivery times
  *      (the fault hook drops/degrades frames here, still in
@@ -23,10 +23,12 @@
  *      destination), evaluate cluster health watchdogs, and let the
  *      TenantScheduler act on per-host status.
  *
- * Steps 1, 3 and 4 run on the caller's thread; step 2 spawns and
- * joins worker threads each epoch, so thread creation/joining is the
- * only synchronization -- no locks anywhere in simulation code, and
- * the join gives the happens-before edge ThreadSanitizer wants.
+ * Steps 1, 3 and 4 run on the caller's thread. The pool's mutex,
+ * taken to start and to finish each epoch's generation, is the only
+ * synchronization -- no locks anywhere in simulation code -- and it
+ * gives the happens-before edges ThreadSanitizer wants (see
+ * cluster/pool.hh). Which executor runs a shard never matters: a
+ * shard touches only its own state inside an epoch.
  * Because every cross-shard interaction happens at a barrier in a
  * fixed order -- including every fault decision and every coin the
  * injector flips -- results are bit-identical for any thread count,
@@ -56,6 +58,7 @@
 #include <vector>
 
 #include "cluster/fabric.hh"
+#include "cluster/pool.hh"
 #include "cluster/scheduler.hh"
 #include "cluster/shard.hh"
 #include "fault/cluster_injector.hh"
@@ -73,8 +76,9 @@ namespace iat::cluster {
 struct ClusterConfig
 {
     unsigned shards = 2;
-    /** Worker threads for step 2; 0 = hardware concurrency. The
-     *  effective count is clamped to [1, shards]. */
+    /** Threads that execute shards in step 2, the caller included;
+     *  0 = hardware concurrency. The effective count is clamped to
+     *  [1, shards]. */
     unsigned threads = 1;
     /** Epoch length; must be a multiple of the engine quantum. */
     double epoch_seconds = 500e-6;
@@ -124,8 +128,25 @@ class ClusterWorld
     TenantScheduler &scheduler() { return scheduler_; }
     const ClusterConfig &config() const { return cfg_; }
 
-    /** Worker threads step 2 will actually use. */
+    /** Threads step 2 will actually use, the caller included. */
     unsigned workerThreads() const { return threads_; }
+
+    /**
+     * Host wall seconds each shard's runEpoch took in the last epoch
+     * (0 for a shard that did not run); the pool claims shards in
+     * this order, longest first. Host time, like the two section
+     * totals below, never enters digest() or any record: it differs
+     * run to run and thread count to thread count.
+     */
+    const std::vector<double> &shardCosts() const { return cost_; }
+
+    /** Cumulative host wall seconds in step 2 (the parallel section,
+     *  from claim order to the last shard finishing). */
+    double parallelSeconds() const { return parallel_seconds_; }
+
+    /** Cumulative host wall seconds in steps 1, 3 and 4 (the serial
+     *  barrier work on the caller's thread). */
+    double serialSeconds() const { return serial_seconds_; }
 
     /** Epochs completed so far. */
     std::uint64_t epochs() const { return epoch_; }
@@ -233,6 +254,13 @@ class ClusterWorld
     std::vector<Ewma> load_ewma_; ///< smoothed scheduler load feed
     obs::stream::StreamDispatcher *dispatcher_ = nullptr;
     std::vector<std::size_t> published_; ///< per shard, records sent
+
+    std::vector<double> cost_; ///< per shard, last epoch's host seconds
+    double parallel_seconds_ = 0.0;
+    double serial_seconds_ = 0.0;
+    /** Step 2's executors when threads_ > 1; last, so it stops its
+     *  workers before any shard goes away. */
+    std::unique_ptr<EpochPool> pool_;
 };
 
 } // namespace iat::cluster

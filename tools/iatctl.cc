@@ -23,12 +23,15 @@
  *
  *   iatctl cluster [--shards=2] [--threads=1] [--seconds=0.2] ...
  *       Build the sharded multi-host world (DESIGN.md SS15), run it
- *       and print per-host remote-path latency, DRAM pressure and
- *       the migration log. --tcp additionally streams every host's
+ *       and print per-host remote-path latency, DRAM pressure, the
+ *       migration log and where the host's wall time went (parallel
+ *       section, last-epoch shard imbalance, serial barrier work).
+ *       --tcp additionally streams every host's
  *       records through a loopback TcpPublisher into one
  *       TcpCollector and reports the round-trip line count.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -436,6 +439,23 @@ cmdCluster(const CliArgs &args)
         }
         std::printf("\n");
     }
+    // Host wall time, never part of the digest: the parallel section,
+    // how uneven its shards were last epoch (max/mean over the shards
+    // that ran; 1.00 is a perfect split), and the serial barrier work.
+    double max_cost = 0.0, sum_cost = 0.0;
+    unsigned ran = 0;
+    for (const double cost : world.shardCosts()) {
+        if (cost <= 0.0)
+            continue;
+        max_cost = std::max(max_cost, cost);
+        sum_cost += cost;
+        ++ran;
+    }
+    std::printf("  host time: parallel %.3f s, imbalance %.2fx, "
+                "serial %.3f s\n",
+                world.parallelSeconds(),
+                ran > 0 ? max_cost * ran / sum_cost : 1.0,
+                world.serialSeconds());
     if (tcp) {
         publisher->pump();
         collector->poll();
