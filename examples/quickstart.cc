@@ -57,7 +57,7 @@ main()
         } else if (tick >= 10 && tick < 13) {
             // Steady phase: the same buffer stays resident.
             for (std::uint64_t i = 0; i < 4000; ++i)
-                platform.dmaWrite(0, (1ull << 40) + i * 64, 64);
+                platform.dmaWrite(0, (1ull << 36) + i * 64, 64);
         }
         platform.advanceQuantum(0.05);
         daemon.tick(tick * params.interval_seconds);

@@ -34,12 +34,9 @@ SlicedLlc::SlicedLlc(const CacheGeometry &geom, unsigned num_cores,
     const std::uint32_t model_sets =
         geom_.sampledSetsPerSlice(approx_k_);
     slices_.resize(geom_.num_slices);
-    const std::size_t lines =
-        static_cast<std::size_t>(model_sets) * geom_.num_ways;
     for (unsigned s = 0; s < geom_.num_slices; ++s) {
         Slice &sl = slices_[s];
-        sl.store.assign(model_sets, geom_.num_ways);
-        sl.owners.assign(lines, 0);
+        sl.store.assign(model_sets, geom_.num_ways, /*owner_bytes=*/true);
         if (approx_shift_ != 0) {
             sl.sample_match = s & approx_mask_;
             // Distinct nonzero per-slice stream; the constant pair is
@@ -273,11 +270,11 @@ SlicedLlc::chooseVictim(const Slice &sl, unsigned set,
     // Victim choice, pinned by RefLlc: the lowest invalid way in the
     // mask, else the least recently stamped way of the mask.
     const std::uint32_t invalid =
-        mask.bits() & ~sl.store.meta[set].valid;
+        mask.bits() & ~sl.store.meta(set).valid;
     if (invalid != 0)
         return static_cast<unsigned>(std::countr_zero(invalid));
 
-    const std::uint32_t *ts = &sl.store.ts[sl.store.at(set, 0)];
+    const std::uint32_t *ts = sl.store.stamps(set);
     unsigned victim = mask.lowest();
     std::uint32_t best_ts = UINT32_MAX;
     // ts <= best_ts (not <): of equal-stamped ways the highest wins,
@@ -297,8 +294,8 @@ SlicedLlc::dropLine(Slice &sl, unsigned set, LineAddr line)
 {
     const int w = sl.store.probe(set, line);
     if (w >= 0) {
-        --rmid_lines_[sl.owners[sl.store.at(set, w)]];
-        sl.store.meta[set].valid &= ~(1u << w);
+        --rmid_lines_[sl.store.owners(set)[w]];
+        sl.store.drop(set, static_cast<unsigned>(w));
     }
 }
 
@@ -309,8 +306,8 @@ SlicedLlc::allocate(Slice &sl, unsigned set, LineAddr line,
 {
     IAT_ASSERT(!mask.empty(), "allocation with empty way mask");
     const unsigned way = chooseVictim(sl, set, mask);
-    const SetMeta &meta = sl.store.meta[set];
-    RmidId &slot = sl.owners[sl.store.at(set, way)];
+    const SetMeta &meta = sl.store.meta(set);
+    std::uint8_t &slot = sl.store.owners(set)[way];
     if ((meta.valid >> way) & 1u) {
         if ((meta.dirty >> way) & 1u) {
             result.writeback = true;
@@ -319,7 +316,7 @@ SlicedLlc::allocate(Slice &sl, unsigned set, LineAddr line,
         --rmid_lines_[slot];
     }
     sl.store.fill(set, way, line, dirty);
-    slot = owner;
+    slot = static_cast<std::uint8_t>(owner);
     ++rmid_lines_[owner];
     result.allocated = true;
 }
@@ -597,6 +594,34 @@ SlicedLlc::invalidate(Addr addr)
 }
 
 void
+SlicedLlc::invalidateRange(Addr addr, std::uint64_t bytes)
+{
+    if (bytes == 0)
+        return;
+    IAT_ASSERT(bytes - 1 <= ~addr, "invalidate range wraps");
+    const LineAddr first = addr / geom_.line_bytes;
+    const LineAddr last = (addr + (bytes - 1)) / geom_.line_bytes;
+    checkTagLine(last, geom_.line_bytes);
+    // Dropping a line touches only its own set's valid bit and its
+    // owner's occupancy, so the walk order cannot change the result.
+    for (auto &sl : slices_) {
+        TagStore &st = sl.store;
+        const auto sets = static_cast<unsigned>(st.sets());
+        for (unsigned set = 0; set < sets; ++set) {
+            for (std::uint32_t m = st.validInRange(set, first, last);
+                 m != 0; m &= m - 1) {
+                const auto w = static_cast<unsigned>(std::countr_zero(m));
+                --rmid_lines_[st.owners(set)[w]];
+                st.drop(set, w);
+                if (shadow_ != nullptr)
+                    shadow_->onInvalidate(st.tag(set, w) *
+                                          geom_.line_bytes);
+            }
+        }
+    }
+}
+
+void
 SlicedLlc::flushAll()
 {
     for (auto &sl : slices_) {
@@ -656,11 +681,11 @@ SlicedLlc::lineAt(unsigned slice, unsigned set, unsigned way) const
     set >>= approx_shift_;
     const TagStore &st = slices_[slice].store;
     LineView view;
-    view.valid = ((st.meta[set].valid >> way) & 1u) != 0;
-    view.dirty = ((st.meta[set].dirty >> way) & 1u) != 0;
-    view.tag = st.tags[st.at(set, way)];
-    view.owner = slices_[slice].owners[st.at(set, way)];
-    view.ts = st.ts[st.at(set, way)];
+    view.valid = ((st.meta(set).valid >> way) & 1u) != 0;
+    view.dirty = ((st.meta(set).dirty >> way) & 1u) != 0;
+    view.tag = st.tag(set, way);
+    view.owner = st.owners(set)[way];
+    view.ts = st.stamps(set)[way];
     return view;
 }
 

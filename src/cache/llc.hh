@@ -23,12 +23,17 @@
  * by the slice count -- exactly what the paper's monitor does -- is
  * sound in the model too.
  *
- * Each slice's directory is a TagStore (cache/tag_store.hh): dense
- * tag and LRU-stamp arrays, per-set valid/dirty bitmasks so victim
- * selection is bit arithmetic, and one probe -- an MRU check, then a
- * masked compare of every way -- shared with the L2. A dense owner
- * array beside it carries each line's RMID. Exact and set-sampled
- * slices use the same layout. The scalar access paths and the batched
+ * Each slice's directory is a TagStore (cache/tag_store.hh) with an
+ * owner byte per way for the line's RMID: set s is one 64-byte-aligned
+ * block holding its valid/dirty/MRU word, 32-bit tags, 32-bit LRU
+ * stamps and owners, so an 11-way set is exactly two adjacent host
+ * lines (128 B) and a probe, a victim choice and an owner update touch
+ * nothing else. Victim selection is bit arithmetic on the valid mask
+ * plus a stamp scan, and the one probe -- an MRU check, then a masked
+ * compare of every way -- is shared with the L2. The 32-bit tags
+ * bound line addresses below 2^32 (256 GiB of 64 B lines); locate()
+ * panics on a line past that. Exact and set-sampled slices use the
+ * same block format. The scalar access paths and the batched
  * ones (accessBatch / ddioWriteRange / deviceReadRange) share the same
  * per-(slice,set) primitives, and the batched paths are
  * state-equivalent to issuing the scalar calls in op order -- see
@@ -128,8 +133,10 @@ class SlicedLlc
      * keeping CLOS 0 as the default class.
      */
     static constexpr unsigned numClos = 24;
-    /** Number of monitoring ids; rmid 0 is "unassigned". */
+    /** Number of monitoring ids; rmid 0 is "unassigned". Each
+     *  directory way stores its owner in one byte. */
     static constexpr unsigned numRmids = 64;
+    static_assert(numRmids <= 256);
     /** Rmid accounting lines allocated by the DDIO port. */
     static constexpr RmidId ddioRmid = numRmids - 1;
     /** PCIe devices with per-device counters and optional masks. */
@@ -308,6 +315,16 @@ class SlicedLlc
      */
     bool isPresent(Addr addr) const;
     void invalidate(Addr addr);
+
+    /**
+     * Drop every cached line of [@p addr, @p addr + @p bytes):
+     * state-equivalent to invalidate() on each of its lines, but one
+     * pass over the directory blocks instead of a hash and probe per
+     * line, so its cost is the directory size whatever the range. An
+     * attached shadow sees onInvalidate() for every dropped line.
+     */
+    void invalidateRange(Addr addr, std::uint64_t bytes);
+
     void flushAll();
 
     const SliceCounters &sliceCounters(unsigned slice) const;
@@ -349,6 +366,13 @@ class SlicedLlc
 
     /** Per-slice LRU clock (wraps at 2^32 by design). */
     std::uint32_t sliceClock(unsigned slice) const;
+
+    /** One slice's directory, for layout checks. */
+    const TagStore &
+    sliceStore(unsigned slice) const
+    {
+        return slices_.at(slice).store;
+    }
     /// @}
 
     /// @name Shadow validation
@@ -404,8 +428,7 @@ class SlicedLlc
 
     struct Slice
     {
-        TagStore store;             ///< modelled sets, index s / K
-        std::vector<RmidId> owners; ///< per way, indexed as store.tags
+        TagStore store; ///< modelled sets (index s / K), owner bytes
         /** Sampled iff (set & approx_mask_) == sample_match. */
         std::uint32_t sample_match = 0;
         Estimator est;
@@ -418,11 +441,13 @@ class SlicedLlc
      * the low 32 bits picks the slice and an independent reduction on
      * the high bits picks the set. Inline because every access path
      * -- including the per-line sampling decision of approx mode --
-     * starts here.
+     * starts here, which makes it the place to refuse a line the
+     * 32-bit tags cannot hold.
      */
     void
     locate(LineAddr line, unsigned &slice, unsigned &set) const
     {
+        checkTagLine(line, geom_.line_bytes);
         const std::uint64_t h = mix64(line);
         slice = static_cast<unsigned>(
             (static_cast<std::uint64_t>(static_cast<std::uint32_t>(h)) *

@@ -17,7 +17,7 @@ PrivateCache::PrivateCache(const PrivateCacheGeometry &geom)
     IAT_ASSERT(geom_.num_sets >= 1 && geom_.num_ways >= 1,
                "bad private cache geometry");
     IAT_ASSERT(geom_.num_ways <= 32, "way bitmasks are 32 bits wide");
-    store_.assign(geom_.num_sets, geom_.num_ways);
+    store_.assign(geom_.num_sets, geom_.num_ways, /*owner_bytes=*/false);
     full_mask_ = geom_.num_ways >= 32 ? ~0u
                                       : (1u << geom_.num_ways) - 1u;
 }
@@ -25,6 +25,7 @@ PrivateCache::PrivateCache(const PrivateCacheGeometry &geom)
 unsigned
 PrivateCache::setIndex(LineAddr line) const
 {
+    checkTagLine(line, geom_.line_bytes);
     return static_cast<unsigned>(
         (static_cast<std::uint64_t>(
              static_cast<std::uint32_t>(mix64(line))) *
@@ -99,14 +100,14 @@ PrivateCache::access(Addr addr, AccessType type)
     // Victim choice, pinned by RefPrivateCache: the highest invalid
     // way; with the set full, the lowest way holding the minimum
     // stamp (strict <).
-    const SetMeta &meta = store_.meta[set];
+    const SetMeta &meta = store_.meta(set);
     unsigned victim;
     const std::uint32_t invalid = full_mask_ & ~meta.valid;
     if (invalid != 0) {
         victim = static_cast<unsigned>(std::bit_width(invalid)) - 1u;
     } else {
         victim = 0;
-        const std::uint32_t *ts = &store_.ts[store_.at(set, 0)];
+        const std::uint32_t *ts = store_.stamps(set);
         std::uint32_t best_ts = UINT32_MAX;
         for (unsigned w = 0; w < geom_.num_ways; ++w) {
             if (ts[w] < best_ts) {
@@ -119,7 +120,7 @@ PrivateCache::access(Addr addr, AccessType type)
     if (((meta.valid & meta.dirty) >> victim) & 1u) {
         result.has_writeback = true;
         result.writeback_addr =
-            store_.tags[store_.at(set, victim)] * geom_.line_bytes;
+            store_.tag(set, victim) * geom_.line_bytes;
     }
     store_.fill(set, victim, line, write);
     recordEst(type, false, result.has_writeback);

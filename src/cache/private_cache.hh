@@ -9,10 +9,21 @@
  * workload cost models; modelling it separately would only rescale
  * constants.
  *
+ * The directory is a TagStore (cache/tag_store.hh): each set is one
+ * 64-byte-aligned block of its valid/dirty/MRU word, 32-bit tags and
+ * 32-bit LRU stamps -- 140 B padded to 192 B (three host lines) for
+ * the 16-way default. Line addresses must stay below 2^32 (byte
+ * addresses below 256 GiB); setIndex() panics on one past that.
+ *
  * The L2 is a write-back cache: dirty victims are handed to the LLC
  * as non-demand writebacks. The LLC is modelled mostly-inclusive for
  * simplicity (fills allocate in both levels); DESIGN.md SS4 discusses
  * why this preserves the paper's phenomena.
+ *
+ * Modelling limit: nothing outside this cache ever invalidates one of
+ * its lines. Neither an inbound DMA write nor another core's write
+ * drops or updates a copy held here, so a recycled packet buffer a
+ * core read before keeps hitting its stale L2 line (DESIGN.md SS4).
  */
 
 #ifndef IATSIM_CACHE_PRIVATE_CACHE_HH
@@ -107,15 +118,18 @@ class PrivateCache
     lineAt(unsigned set, unsigned way) const
     {
         LineView view;
-        view.valid = ((store_.meta[set].valid >> way) & 1u) != 0;
-        view.dirty = ((store_.meta[set].dirty >> way) & 1u) != 0;
-        view.tag = store_.tags[store_.at(set, way)];
-        view.ts = store_.ts[store_.at(set, way)];
+        view.valid = ((store_.meta(set).valid >> way) & 1u) != 0;
+        view.dirty = ((store_.meta(set).dirty >> way) & 1u) != 0;
+        view.tag = store_.tag(set, way);
+        view.ts = store_.stamps(set)[way];
         return view;
     }
 
     /** LRU clock (wraps at 2^32 by design). */
     std::uint32_t clock() const { return store_.clock; }
+
+    /** The directory, for layout checks. */
+    const TagStore &store() const { return store_; }
 
   private:
     unsigned setIndex(LineAddr line) const;
@@ -157,8 +171,9 @@ class PrivateCache
     static constexpr std::uint64_t kEstStreakCap = 1ull << 20;
 
     PrivateCacheGeometry geom_;
-    /** Tags, LRU stamps and per-set valid/dirty/MRU words, in the
-     *  layout and with the probe the LLC uses (cache/tag_store.hh). */
+    /** One 64-byte-aligned block per set -- valid/dirty/MRU word,
+     *  32-bit tags, 32-bit LRU stamps -- in the format and with the
+     *  probe the LLC uses (cache/tag_store.hh); 192 B per 16-way set. */
     TagStore store_;
     std::uint32_t full_mask_ = 0; ///< one bit per way
     std::uint64_t hits_ = 0;

@@ -16,6 +16,12 @@ using Addr = std::uint64_t;
 /** Cache-line address (byte address >> 6). */
 using LineAddr = std::uint64_t;
 
+/**
+ * The caches store 32-bit tags, so every modelled line address lies
+ * below this: byte addresses below 256 GiB with 64 B lines.
+ */
+constexpr LineAddr kTagLineLimit = LineAddr{1} << 32;
+
 /** Hardware thread / core index. */
 using CoreId = std::uint16_t;
 

@@ -308,15 +308,10 @@ ShardHost::attachBatchCold(unsigned slot, BatchTenant *tenant)
     attachBatch(slot, tenant);
     // Cold caches on arrival: whatever an earlier occupant of this
     // slot left behind is gone, and the newcomer's own lines do not
-    // exist here yet. Walk the slot's region line by line (the LLC
-    // skips unsampled sets on its own in approx mode).
+    // exist here yet. One pass over the LLC directory drops the slot's
+    // region (in approx mode only sampled sets hold lines).
     const auto &region = batch_regions_[slot];
-    const auto line_bytes = platform_.config().llc.line_bytes;
-    const cache::Addr first = region.base / line_bytes;
-    const cache::Addr last =
-        (region.base + region.bytes - 1) / line_bytes;
-    for (cache::Addr line = first; line <= last; ++line)
-        platform_.llc().invalidate(line * line_bytes);
+    platform_.llc().invalidateRange(region.base, region.bytes);
     platform_.l2(batchCore(slot)).invalidateAll();
 }
 

@@ -8,6 +8,8 @@
  * allocator. Regions never overlap, so cache interference between
  * tenants arises only through capacity/way contention -- exactly the
  * channel the paper studies -- and never through accidental sharing.
+ * The space ends at 256 GiB, the reach of the caches' 32-bit line
+ * tags (cache::kTagLineLimit).
  */
 
 #ifndef IATSIM_SIM_ADDRESS_SPACE_HH
@@ -43,12 +45,20 @@ class AddressSpace
         std::uint64_t lines() const { return bytes / cacheLineBytes; }
     };
 
-    /** Allocate @p bytes (rounded up to 4 KiB) labelled @p name. */
+    /**
+     * Allocate @p bytes (rounded up to 4 KiB) labelled @p name. Panics
+     * when the region would end past kLimit.
+     */
     Region
     alloc(std::uint64_t bytes, std::string name)
     {
         IAT_ASSERT(bytes > 0, "empty allocation '%s'", name.c_str());
         constexpr std::uint64_t page = 4 * KiB;
+        IAT_ASSERT(bytes <= kLimit - next_,
+                   "allocation '%s' of %llu bytes ends past the %llu GiB "
+                   "the cache model's 32-bit line tags can address",
+                   name.c_str(), static_cast<unsigned long long>(bytes),
+                   static_cast<unsigned long long>(kLimit >> 30));
         const std::uint64_t rounded = (bytes + page - 1) / page * page;
         Region region{std::move(name), next_, rounded};
         next_ += rounded;
@@ -58,6 +68,10 @@ class AddressSpace
 
     std::uint64_t allocatedBytes() const { return next_ - kBase; }
     const std::vector<Region> &regions() const { return regions_; }
+
+    /** End of the address space: 2^32 lines of 64 B, i.e. 256 GiB. */
+    static constexpr cache::Addr kLimit =
+        cache::kTagLineLimit * cacheLineBytes;
 
   private:
     /** First usable address; low memory stays unused. */

@@ -201,6 +201,23 @@ TEST(LlcApprox, OccupancyExtrapolatesByTheSamplingPeriod)
     EXPECT_EQ(approx_lines % 4, 0u);
 }
 
+TEST(LlcApprox, SampledSlicesUseTheSameBlockFormat)
+{
+    const SlicedLlc exact(CacheGeometry{}, 1);
+    const SlicedLlc llc(CacheGeometry{}, 1, 16);
+    for (unsigned s = 0; s < llc.geometry().num_slices; ++s) {
+        const TagStore &st = llc.sliceStore(s);
+        EXPECT_EQ(st.sets(), llc.geometry().sets_per_slice / 16);
+        EXPECT_EQ(st.stride(), exact.sliceStore(s).stride());
+        for (unsigned set = 0; set < st.sets(); ++set) {
+            ASSERT_EQ(reinterpret_cast<std::uintptr_t>(st.block(set)) %
+                          TagStore::kBlockAlign,
+                      0u)
+                << "slice " << s << " set " << set;
+        }
+    }
+}
+
 TEST(LlcApprox, StaleTagInInvalidWayNeverMatches)
 {
     // The exact-model case, run on a sampled set at K = 4.

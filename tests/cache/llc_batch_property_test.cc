@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cache/llc.hh"
@@ -249,6 +251,110 @@ TEST_P(LlcBatchEquivalence, BatchedPathsMatchWithDdioDisabled)
         }
     }
     expectSameObservableState(scalar, batched);
+}
+
+/** Records the addresses a SlicedLlc reports invalidated. */
+class InvalidateLog final : public LlcShadow
+{
+  public:
+    void onSetClosMask(ClosId, WayMask) override {}
+    void onAssocCoreClos(CoreId, ClosId) override {}
+    void onAssocCoreRmid(CoreId, RmidId) override {}
+    void onSetDdioMask(WayMask) override {}
+    void onSetDeviceDdioMask(DeviceId, WayMask) override {}
+    void onClearDeviceDdioMask(DeviceId) override {}
+    void onSetDdioEnabled(bool) override {}
+    void onCoreOp(CoreId, Addr, AccessType, bool, bool, bool) override {}
+    void onDdioWrite(Addr, DeviceId, const AccessResult &) override {}
+    void onDeviceRead(Addr, DeviceId, const AccessResult &) override {}
+    void onInvalidate(Addr addr) override { dropped.push_back(addr); }
+    void onFlushAll() override {}
+
+    std::vector<Addr> dropped;
+};
+
+/** Every (slice, set, way) entry, counter and clock match. */
+void
+expectSameDirectory(const SlicedLlc &a, const SlicedLlc &b)
+{
+    const CacheGeometry &g = a.geometry();
+    for (unsigned sl = 0; sl < g.num_slices; ++sl) {
+        EXPECT_EQ(a.sliceClock(sl), b.sliceClock(sl)) << "slice " << sl;
+        for (unsigned set = 0; set < g.sets_per_slice; ++set) {
+            for (unsigned w = 0; w < g.num_ways; ++w) {
+                const auto va = a.lineAt(sl, set, w);
+                const auto vb = b.lineAt(sl, set, w);
+                ASSERT_EQ(va.valid, vb.valid) << sl << "/" << set << "/" << w;
+                ASSERT_EQ(va.dirty, vb.dirty) << sl << "/" << set << "/" << w;
+                ASSERT_EQ(va.tag, vb.tag) << sl << "/" << set << "/" << w;
+                ASSERT_EQ(va.owner, vb.owner) << sl << "/" << set << "/" << w;
+                ASSERT_EQ(va.ts, vb.ts) << sl << "/" << set << "/" << w;
+            }
+        }
+    }
+    for (unsigned r = 0; r < SlicedLlc::numRmids; ++r)
+        EXPECT_EQ(a.rmidLines(r), b.rmidLines(r)) << "rmid " << r;
+}
+
+TEST(LlcRangeInvalidate, MatchesPerLineInvalidates)
+{
+    for (const unsigned k : {1u, 4u}) {
+        SCOPED_TRACE("K=" + std::to_string(k));
+        CacheGeometry geom;
+        geom.num_slices = 4;
+        geom.sets_per_slice = 64;
+        geom.num_ways = 11;
+        geom.line_bytes = kLineBytes;
+        SlicedLlc per_line(geom, 2, k);
+        SlicedLlc ranged(geom, 2, k);
+        configure(per_line);
+        configure(ranged);
+        InvalidateLog log;
+        if (k == 1)
+            ranged.setShadow(&log);
+
+        Rng rng(0x1a2b3c ^ k);
+        std::size_t dropped_total = 0;
+        for (int round = 0; round < 4; ++round) {
+            // Random fills from both cores and the DDIO port, so the
+            // range holds clean, dirty and DDIO-owned lines.
+            for (int i = 0; i < 4000; ++i) {
+                const Addr a = rng.below(kLines) * kLineBytes;
+                const auto pick = rng.below(4);
+                for (SlicedLlc *llc : {&per_line, &ranged}) {
+                    if (pick == 3)
+                        llc->ddioWrite(a, 0);
+                    else
+                        llc->coreAccess(static_cast<CoreId>(pick & 1), a,
+                                        pick == 2 ? AccessType::Write
+                                                  : AccessType::Read);
+                }
+            }
+            // A range with ragged ends: it starts and stops mid-line.
+            const std::uint64_t first = rng.below(kLines / 2);
+            const std::uint64_t lines = 1 + rng.below(kLines / 2);
+            const Addr addr = first * kLineBytes + 5;
+            const std::uint64_t bytes = lines * kLineBytes - 10;
+            const LineAddr last = (addr + bytes - 1) / kLineBytes;
+
+            std::vector<Addr> resident;
+            for (LineAddr line = first; line <= last; ++line) {
+                if (per_line.isPresent(line * kLineBytes))
+                    resident.push_back(line * kLineBytes);
+                per_line.invalidate(line * kLineBytes);
+            }
+            log.dropped.clear();
+            ranged.invalidateRange(addr, bytes);
+            expectSameDirectory(per_line, ranged);
+            if (k == 1) {
+                std::sort(log.dropped.begin(), log.dropped.end());
+                EXPECT_EQ(log.dropped, resident) << "round " << round;
+            }
+            dropped_total += resident.size();
+        }
+        EXPECT_GT(dropped_total, 0u) << "no resident line in any range";
+        ranged.setShadow(nullptr);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

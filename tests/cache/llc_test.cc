@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -315,6 +316,64 @@ TEST(LlcDeath, RejectsBadClosMask)
     EXPECT_DEATH(llc.setClosMask(0, WayMask{0}), "consecutive");
     EXPECT_DEATH(llc.setClosMask(0, WayMask::fromRange(3, 2)),
                  "exceeds way count");
+}
+
+/** Every block of @p st starts on a 64 B boundary, one stride apart. */
+void
+expectAlignedBlocks(const TagStore &st)
+{
+    for (unsigned set = 0; set < st.sets(); ++set) {
+        const auto at = reinterpret_cast<std::uintptr_t>(st.block(set));
+        ASSERT_EQ(at % TagStore::kBlockAlign, 0u) << "set " << set;
+        if (set > 0) {
+            ASSERT_EQ(at - reinterpret_cast<std::uintptr_t>(
+                               st.block(set - 1)),
+                      st.stride())
+                << "set " << set;
+        }
+    }
+}
+
+TEST(LlcLayout, DefaultSetIsTwoAlignedHostLines)
+{
+    // 12 B header + 11 tags + 11 stamps (4 B each) + 11 owner bytes
+    // = 111 B, padded to exactly two host lines.
+    const SlicedLlc llc(CacheGeometry{}, 1);
+    for (unsigned s = 0; s < llc.geometry().num_slices; ++s) {
+        const TagStore &st = llc.sliceStore(s);
+        EXPECT_EQ(st.stride(), 128u);
+        EXPECT_EQ(st.sets(), llc.geometry().sets_per_slice);
+        expectAlignedBlocks(st);
+    }
+}
+
+TEST(LlcAddressContract, TopLineRoundTrips)
+{
+    // The last line a 32-bit tag holds keeps its full address through
+    // fill, lookup, lineAt and invalidation.
+    SlicedLlc llc(tinyGeometry(), 2);
+    const LineAddr top = kTagLineLimit - 1;
+    const Addr addr = top * 64;
+    EXPECT_FALSE(llc.coreAccess(0, addr, AccessType::Write).hit);
+    unsigned slice = 0, set = 0;
+    ASSERT_TRUE(findValidLine(llc, top, 0, slice, set));
+    EXPECT_EQ(llc.lineAt(slice, set, 0).tag, top);
+    EXPECT_TRUE(llc.lineAt(slice, set, 0).dirty);
+    EXPECT_TRUE(llc.coreAccess(0, addr, AccessType::Read).hit);
+    // Line 0 hashes elsewhere but truncates to nothing: no alias.
+    EXPECT_FALSE(llc.isPresent(0));
+    llc.invalidateRange(addr, 64);
+    EXPECT_FALSE(llc.isPresent(addr));
+}
+
+TEST(LlcDeath, RejectsLinePastTagRange)
+{
+    SlicedLlc llc(tinyGeometry(), 2);
+    const Addr past = kTagLineLimit * 64;
+    EXPECT_DEATH(llc.coreAccess(0, past, AccessType::Read),
+                 "32-bit tags.*256 GiB");
+    EXPECT_DEATH(llc.ddioWrite(past + 64, 0), "32-bit tags");
+    EXPECT_DEATH(llc.invalidateRange(past - 64, 128), "32-bit tags");
 }
 
 TEST(LlcDeath, RejectsOutOfRangeIds)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/units.hh"
 
 namespace iat::cache {
@@ -135,6 +137,49 @@ TEST(PrivateCache, StaleTagInInvalidWayNeverMatches)
     expectStaleUntouched("write");
     EXPECT_TRUE(l2.isPresent(x));
     expectStaleUntouched("isPresent");
+}
+
+TEST(PrivateCache, SetBlocksAreAlignedAndAtMostThreeHostLines)
+{
+    // 12 B header + 16 tags + 16 stamps (4 B each) = 140 B -> 192 B.
+    const PrivateCache l2;
+    const TagStore &st = l2.store();
+    EXPECT_LE(st.stride(), 192u);
+    EXPECT_EQ(st.stride() % TagStore::kBlockAlign, 0u);
+    ASSERT_EQ(st.sets(), l2.geometry().num_sets);
+    for (unsigned set = 0; set < st.sets(); ++set) {
+        ASSERT_EQ(reinterpret_cast<std::uintptr_t>(st.block(set)) %
+                      TagStore::kBlockAlign,
+                  0u)
+            << "set " << set;
+    }
+}
+
+TEST(PrivateCache, TopLineRoundTrips)
+{
+    // One set of two ways: the top line fills way 1, two more lines
+    // evict it dirty, and the writeback names its full address.
+    PrivateCacheGeometry g;
+    g.num_sets = 1;
+    g.num_ways = 2;
+    PrivateCache l2(g);
+    const LineAddr top = kTagLineLimit - 1;
+    EXPECT_FALSE(l2.access(top * 64, AccessType::Write).hit);
+    EXPECT_EQ(l2.lineAt(0, 1).tag, top);
+    EXPECT_TRUE(l2.isPresent(top * 64));
+    EXPECT_FALSE(l2.isPresent(0));
+    EXPECT_FALSE(l2.access(64, AccessType::Read).has_writeback);
+    const auto r = l2.access(128, AccessType::Read);
+    ASSERT_TRUE(r.has_writeback);
+    EXPECT_EQ(r.writeback_addr, top * 64);
+}
+
+TEST(PrivateCacheDeath, RejectsLinePastTagRange)
+{
+    PrivateCache l2(tinyL2());
+    EXPECT_DEATH(l2.access(kTagLineLimit * 64, AccessType::Read),
+                 "32-bit tags.*256 GiB");
+    EXPECT_DEATH(l2.isPresent(~Addr{0}), "32-bit tags");
 }
 
 TEST(PrivateCache, CapacityBounded)

@@ -50,6 +50,27 @@ TEST(AddressSpace, TracksRegions)
     EXPECT_EQ(aspace.allocatedBytes(), 2 * 4096u);
 }
 
+TEST(AddressSpace, FillsExactlyTo256GiB)
+{
+    // The first region starts at 1 GiB; 255 GiB more ends exactly at
+    // the limit. Only bookkeeping: nothing is backed by memory.
+    AddressSpace aspace;
+    const auto r = aspace.alloc(255 * GiB, "all");
+    EXPECT_EQ(r.base + r.bytes, AddressSpace::kLimit);
+    EXPECT_EQ(AddressSpace::kLimit, 256 * GiB);
+    EXPECT_EQ((r.base + r.bytes - 1) / cacheLineBytes,
+              cache::kTagLineLimit - 1);
+}
+
+TEST(AddressSpaceDeath, RejectsRegionPast256GiB)
+{
+    AddressSpace aspace;
+    aspace.alloc(255 * GiB - 4 * KiB, "most");
+    EXPECT_DEATH(aspace.alloc(4 * KiB + 1, "over"),
+                 "allocation 'over' .*256 GiB");
+    EXPECT_DEATH(aspace.alloc(~std::uint64_t{0}, "huge"), "256 GiB");
+}
+
 TEST(AddressSpaceDeath, RejectsEmpty)
 {
     AddressSpace aspace;
